@@ -60,6 +60,15 @@ Checks (each is a named rule; any violation exits non-zero):
                   the errno into a Status (Status::IOErrorFromErrno), or mark
                   a deliberate best-effort discard with
                   `// syscall-ok: <why>`.
+  drop-none-serving
+                  In src/serve/ and src/mutate/, a FilterPhase call passing
+                  DropMode::kNone reads all k posting lists where the
+                  paper's list dropping reads k - w (+1): on the serving
+                  paths that is several times the decode and union work
+                  for the same exact answer. Serving range candidates go
+                  through the kernel's RangeCandidates (always
+                  kPositionRefined); a deliberate full read must say why on
+                  the kNone line with `// drop-none-ok: <why>`.
 
 Run from anywhere: paths resolve relative to the repo root (parent of this
 script's directory). `--self-test` feeds each rule a synthetic violation
@@ -172,6 +181,13 @@ SYSCALL_STMT_RE = re.compile(
     r"^\s*(?:\(void\)\s*)?(?:::|std::)?(" + "|".join(SYSCALL_NAMES) +
     r")\s*\(")
 SYSCALL_OK_MARKER = "syscall-ok:"
+
+# drop-none-serving ---------------------------------------------------------
+
+DROP_NONE_DIR_PREFIXES = ("src/serve/", "src/mutate/")
+FILTER_PHASE_CALL_RE = re.compile(r"\bFilterPhase\w*\s*\(")
+DROP_NONE_RE = re.compile(r"\bDropMode::kNone\b")
+DROP_NONE_OK_MARKER = "drop-none-ok:"
 
 # kernel-layering -----------------------------------------------------------
 
@@ -445,6 +461,40 @@ def check_syscall_status(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_drop_none_serving(path: Path, lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if not rel.startswith(DROP_NONE_DIR_PREFIXES):
+        return []
+    failures = []
+    i, n = 0, len(lines)
+    while i < n:
+        code = strip_comments_and_strings(lines[i])
+        match = FILTER_PHASE_CALL_RE.search(code)
+        if not match:
+            i += 1
+            continue
+        # Walk the argument list by paren balance from the call's `(`;
+        # the call may span lines.
+        depth, start = 0, i
+        code = code[match.end() - 1:]
+        while True:
+            if (DROP_NONE_RE.search(code)
+                    and DROP_NONE_OK_MARKER not in lines[i]):
+                failures.append(Failure(
+                    "drop-none-serving", f"{rel}:{i + 1}",
+                    "DropMode::kNone passed to the FilterPhase call at line "
+                    f"{start + 1} reads every posting list on a serving path "
+                    "— use RangeCandidates (list dropping), or justify the "
+                    f"full read with '// {DROP_NONE_OK_MARKER} <why>'"))
+            depth += code.count("(") - code.count(")")
+            if depth <= 0 or i + 1 >= n:
+                break
+            i += 1
+            code = strip_comments_and_strings(lines[i])
+        i += 1
+    return failures
+
+
 def check_kernel_layering(path: Path, lines: list[str]) -> list[Failure]:
     rel = path.relative_to(REPO_ROOT).as_posix()
     if not rel.startswith("src/kernel/") or path.suffix != ".h":
@@ -479,6 +529,7 @@ def run_checks() -> list[Failure]:
         failures += check_decode_noalloc(path, lines)
         failures += check_block_skip_guard(path, lines)
         failures += check_syscall_status(path, lines)
+        failures += check_drop_none_serving(path, lines)
     failures += check_bench_schema()
     return failures
 
@@ -490,6 +541,7 @@ def self_test() -> int:
     fake = SRC / "kernel" / "fake.h"  # path only; never written to disk
     fake_mutate = SRC / "mutate" / "fake.cc"
     fake_storage = SRC / "storage" / "fake.cc"
+    fake_serve = SRC / "serve" / "fake.cc"
     cases = [
         ("epoch-zero bump without reset",
          lambda: check_epoch_zero(fake, ["++epoch_;", "touched_.clear();"])),
@@ -543,6 +595,18 @@ def self_test() -> int:
         ("syscall-status covers src/io too",
          lambda: check_syscall_status(SRC / "io" / "fake.cc",
                                       ["  rename(a, b);"])),
+        ("drop-none-serving single-line call",
+         lambda: check_drop_none_serving(fake_serve, [
+             "  FilterPhase(index, q, theta, DropMode::kNone, n, &s);"])),
+        ("drop-none-serving kNone on a continuation line",
+         lambda: check_drop_none_serving(fake_mutate, [
+             "  const auto c = FilterPhase(index, query, theta_raw,",
+             "                             DropMode::kNone, n, &filter_);"])),
+        ("drop-none-serving marker on another line does not count",
+         lambda: check_drop_none_serving(fake_serve, [
+             "  // drop-none-ok: this comment is not on the kNone line",
+             "  FilterPhaseIdRange(index, q, theta,",
+             "                     DropMode::kNone, lo, hi, n, &s);"])),
     ]
     negatives = [
         ("epoch-zero legal wrap", lambda: check_epoch_zero(fake, [
@@ -621,6 +685,22 @@ def self_test() -> int:
         ("syscall-status identifier containing a syscall name",
          lambda: check_syscall_status(fake_storage, [
              "  remove_stale_generations(dir);"])),
+        ("drop-none-serving marked full read",
+         lambda: check_drop_none_serving(fake_serve, [
+             "  FilterPhase(index, q, /*theta_raw=*/0,",
+             "              DropMode::kNone,  // drop-none-ok: cache key",
+             "              n, &s);"])),
+        ("drop-none-serving dropping mode",
+         lambda: check_drop_none_serving(fake_mutate, [
+             "  FilterPhase(index, q, theta,",
+             "              DropMode::kPositionRefined, n, &s);"])),
+        ("drop-none-serving kNone after the call closed",
+         lambda: check_drop_none_serving(fake_serve, [
+             "  FilterPhase(index, q, theta, drop, n, &s);",
+             "  const DropMode mode = DropMode::kNone;"])),
+        ("drop-none-serving outside serving dirs",
+         lambda: check_drop_none_serving(fake, [
+             "  FilterPhase(index, q, theta, DropMode::kNone, n, &s);"])),
     ]
     ok = True
     for name, check in cases:

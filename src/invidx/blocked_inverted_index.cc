@@ -64,10 +64,10 @@ std::vector<RankingId> BlockedEngine::QueryWindowed(
     const PreparedQuery& query, RawDistance theta_raw, Statistics* stats) {
   const uint32_t k = query.k();
   const RankingView q = query.view();
-  const std::vector<uint32_t> positions =
-      SelectLists(q, theta_raw, options_.drop,
-                  [this](ItemId item) { return index_->list_length(item); },
-                  stats);
+  SelectLists(q, theta_raw, options_.drop,
+              [this](ItemId item) { return index_->list_length(item); },
+              &positions_, stats);
+  const std::vector<uint32_t>& positions = positions_;
 
   RawDistance processed_absent = 0;  // over processed (kept) lists
   for (size_t pi = 0; pi < positions.size(); ++pi) {

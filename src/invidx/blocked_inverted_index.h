@@ -131,6 +131,7 @@ class BlockedEngine {
   BlockedOptions options_;
   std::vector<Accumulator> accs_;
   std::vector<RankingId> touched_;
+  std::vector<uint32_t> positions_;  // SelectLists output, per query
   std::vector<RankingId> survivors_;  // non-dead touched ids, per query
   FootruleValidator validator_;
   uint32_t epoch_ = 0;

@@ -1,10 +1,5 @@
 #include "invidx/drop_policy.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "core/bounds.h"
-
 namespace topk {
 
 const char* DropModeName(DropMode mode) {
@@ -17,60 +12,6 @@ const char* DropModeName(DropMode mode) {
       return "position_refined";
   }
   return "unknown";
-}
-
-std::vector<uint32_t> SelectLists(
-    RankingView query, RawDistance theta_raw, DropMode mode,
-    const std::function<size_t(ItemId)>& list_length, Statistics* stats) {
-  const uint32_t k = query.k();
-  std::vector<uint32_t> all(k);
-  std::iota(all.begin(), all.end(), 0);
-
-  const uint32_t w = MinOverlap(k, theta_raw);
-  if (mode == DropMode::kNone || w <= 1) {
-    // w == 0 would mean even disjoint rankings qualify (theta >= dmax) and
-    // an inverted index cannot find those at all; w == 1 permits no drops.
-    return all;
-  }
-
-  // Positions ordered by posting-list length, longest first: those are the
-  // most profitable to drop.
-  std::vector<uint32_t> by_length(all);
-  std::stable_sort(by_length.begin(), by_length.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return list_length(query[a]) > list_length(query[b]);
-                   });
-
-  // The refinement may drop one more list than the conservative policy but
-  // is only sound below the configuration-forcing threshold (see header).
-  const bool refinement_sound =
-      mode == DropMode::kPositionRefined &&
-      theta_raw <= MinDistanceForOverlap(k, w) + 1;
-  const uint32_t keep =
-      refinement_sound ? std::max<uint32_t>(1, k - w) : (k - w + 1);
-
-  // Greedily drop the longest lists. Under the refined policy at least one
-  // kept list must come from the query's top-w positions; skip a drop that
-  // would eliminate the last such position.
-  std::vector<bool> dropped(k, false);
-  uint32_t top_w_kept = std::min(w, k);  // positions 0..w-1 still kept
-  uint32_t num_dropped = 0;
-  const uint32_t want_dropped = k - keep;
-  for (uint32_t pos : by_length) {
-    if (num_dropped == want_dropped) break;
-    if (refinement_sound && pos < w && top_w_kept == 1) continue;
-    dropped[pos] = true;
-    if (pos < w) --top_w_kept;
-    ++num_dropped;
-  }
-
-  std::vector<uint32_t> result;
-  result.reserve(keep);
-  for (uint32_t pos = 0; pos < k; ++pos) {
-    if (!dropped[pos]) result.push_back(pos);
-  }
-  AddTicker(stats, Ticker::kListsDropped, num_dropped);
-  return result;
 }
 
 }  // namespace topk

@@ -2,11 +2,13 @@
 //
 // Every union-validating path in the library — FilterValidateEngine,
 // CoarseIndex's medoid retrieval, QueryFrontend's candidate-cache miss
-// path — runs the same loop: pick the accessible posting lists (drop
-// policy), scan them, and deduplicate ranking ids through an epoch-stamped
-// VisitedSet. Until this header existed each caller carried its own copy,
-// pinned together only by the fuzz differentials; now they all call
-// FilterPhase and the loop exists once.
+// path, and the serving paths through RangeCandidates (ResilientReader's
+// snapshot tier, every MutableStore segment) — runs the same loop: pick
+// the accessible posting lists (drop policy), scan them, and deduplicate
+// ranking ids through an epoch-stamped VisitedSet. Until this header
+// existed each caller carried its own copy, pinned together only by the
+// fuzz differentials; now they all call FilterPhase and the loop exists
+// once.
 //
 // Contract (bit-compatible with the historical loops, which
 // kernel_filter_test pins):
@@ -61,6 +63,11 @@ namespace topk {
 struct FilterScratch {
   VisitedSet visited{0};
   std::vector<RankingId> candidates;
+  /// SelectLists' output: the query positions whose lists are read.
+  std::vector<uint32_t> positions;
+  /// Grow-only [0, n) id sequence: the candidate set of a full-domain
+  /// validation (see AllIds).
+  std::vector<RankingId> all_ids;
   /// Landing buffers for indexes that serve lists through
   /// DecodeList(item, scratch) instead of list(item) — the storage
   /// tier's block-compressed arena. At most two lists are live at once
@@ -213,9 +220,10 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
                                        FilterScratch* scratch,
                                        Statistics* stats = nullptr) {
   scratch->candidates.clear();
-  const std::vector<uint32_t> positions = SelectLists(
-      query, theta_raw, drop,
-      [&index](ItemId item) { return index.list_length(item); }, stats);
+  SelectLists(query, theta_raw, drop,
+              [&index](ItemId item) { return index.list_length(item); },
+              &scratch->positions, stats);
+  const std::vector<uint32_t>& positions = scratch->positions;
 
   // One access path for both storage tiers: a decoded-lists index lands
   // the list in the given scratch buffer (inline-tier lists come back as
@@ -276,6 +284,41 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   return scratch->candidates;
 }
 
+/// Every id in [0, n), from the scratch's grow-only sequence: the
+/// candidate set when no posting union is a superset of the answer.
+inline std::span<const RankingId> AllIds(size_t n, FilterScratch* scratch) {
+  std::vector<RankingId>& ids = scratch->all_ids;
+  while (ids.size() < n) ids.push_back(static_cast<RankingId>(ids.size()));
+  return std::span<const RankingId>(ids.data(), n);
+}
+
+/// The serving paths' range candidates over one indexed segment of
+/// `num_rows` rows (ResilientReader's snapshot tier and every
+/// MutableStore segment call this; the static engines keep their
+/// configurable DropMode):
+///  * theta >= dmax admits rankings disjoint from the query, which sit at
+///    exactly dmax and appear in none of its posting lists, so no union
+///    is a superset: every row is a candidate (AllIds);
+///  * below dmax, list dropping (Section 6.1) reads only the lists
+///    SelectLists keeps under DropMode::kPositionRefined — k - w of them
+///    where the Lemma 2 refinement is provably sound, k - w + 1 elsewhere
+///    (DESIGN.md, "Drop refinement guard"). Every result shares at least
+///    w = MinOverlap(k, theta) items with the query, so it lies in one of
+///    the kept lists and the union stays a superset of the answer.
+/// Candidates come back in FilterPhase's first-encounter order; callers
+/// validate them exactly and sort the accepted ids.
+template <typename Index>
+std::span<const RankingId> RangeCandidates(const Index& index,
+                                           RankingView query,
+                                           RawDistance theta_raw,
+                                           size_t num_rows,
+                                           FilterScratch* scratch,
+                                           Statistics* stats = nullptr) {
+  if (theta_raw >= MaxDistance(query.k())) return AllIds(num_rows, scratch);
+  return FilterPhase(index, query, theta_raw, DropMode::kPositionRefined,
+                     num_rows, scratch, stats);
+}
+
 /// Range-restricted filter phase: the union of the accessible posting
 /// lists intersected with ranking ids in [id_lo, id_hi]. This is where
 /// the per-block skip metadata of the compressed arena pays off: an
@@ -295,9 +338,10 @@ std::span<const RankingId> FilterPhaseIdRange(
     FilterScratch* scratch, Statistics* stats = nullptr) {
   scratch->candidates.clear();
   if (id_lo > id_hi) return scratch->candidates;
-  const std::vector<uint32_t> positions = SelectLists(
-      query, theta_raw, drop,
-      [&index](ItemId item) { return index.list_length(item); }, stats);
+  SelectLists(query, theta_raw, drop,
+              [&index](ItemId item) { return index.list_length(item); },
+              &scratch->positions, stats);
+  const std::vector<uint32_t>& positions = scratch->positions;
 
   auto* landing = DecodeLandingA<Index>(scratch);
   using Landing = std::remove_pointer_t<decltype(landing)>;

@@ -7,8 +7,11 @@
 #include <numeric>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
+
 #include "core/failpoint.h"
-#include "invidx/drop_policy.h"
 #include "storage/compressed_arena.h"
 #include "storage/compressed_augmented.h"
 #include "storage/snapshot.h"
@@ -161,29 +164,13 @@ void MutableStore::CollectRangeLocked(const RankingStore& seg_store,
   if (control != nullptr && control->ShouldStop()) return;
   validator_.BindQuery(query,
                        static_cast<size_t>(seg_store.max_item()) + 1);
-  const auto n = static_cast<RankingId>(seg_store.size());
   // Tombstoned rows are dropped BEFORE validation: a dead row never
-  // costs a distance call.
+  // costs a distance call. RangeCandidates owns the list choice (the
+  // paper's list dropping below dmax, every row at theta >= dmax).
   pending_.clear();
-  if (theta_raw >= MaxDistance(k_)) {
-    // theta admits disjoint rankings (distance exactly dmax), so the
-    // posting union is no longer a superset of the answer: every alive
-    // row is a candidate. For theta < dmax the union is exact — a
-    // non-overlapping ranking sits at dmax > theta.
-    for (RankingId local = 0; local < n; ++local) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
-  } else {
-    const auto candidates =
-        FilterPhase(index, query, theta_raw, DropMode::kNone,
-                    seg_store.size(), &filter_, stats);
-    for (const RankingId local : candidates) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
+  for (const RankingId local : RangeCandidates(
+           index, query, theta_raw, seg_store.size(), &filter_, stats)) {
+    if (tombstones_.count(global_ids[local]) == 0) pending_.push_back(local);
   }
   AddTicker(stats, Ticker::kCandidates, pending_.size());
   accepted_.clear();
@@ -422,7 +409,19 @@ bool MutableStore::FinishMergeCycle(
     last_merge_status_ = Status::OK();
     InstallMergedLocked(next, consumed);
   }
+  // The merged inputs are unreachable once the swap is installed; drop
+  // this cycle's references before the emission builds its compressed
+  // images, so the old segment, the new one and the emission buffers are
+  // never resident at once.
+  main_snapshot.reset();
+  sealed_snapshot.reset();
   MaybeEmitSnapshot(*next);
+#if defined(__GLIBC__)
+  // Each cycle frees a whole segment and the emission buffers. glibc
+  // keeps most of that in its heaps rather than returning it, so without
+  // a trim the resident set grows with the number of merges.
+  malloc_trim(0);
+#endif
   return true;
 }
 

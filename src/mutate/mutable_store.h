@@ -17,7 +17,16 @@
 //
 // Queries merge main + sealed + delta exactly: each segment runs the
 // same kernel FilterPhase -> FootruleValidator pipeline every static
-// engine uses (ValidateAll when theta admits disjoint rankings), locals
+// engine uses, through the serving helper RangeCandidates. Below dmax it
+// reads only the posting lists SelectLists keeps under
+// DropMode::kPositionRefined (the paper's list dropping): k - w of the
+// query's k lists where Lemma 2's refinement is provably sound,
+// k - w + 1 elsewhere. Dropping is decided per segment from that
+// segment's list lengths and is sound in each one, because every result
+// within theta shares at least w = MinOverlap(k, theta) items with the
+// query and so appears in a kept list of the segment holding it
+// (DESIGN.md, "Drop refinement guard"). When theta admits disjoint
+// rankings (theta >= dmax) every row is a candidate instead. Locals
 // map to global ids through strictly increasing per-segment maps, and
 // the per-segment result lists concatenate in ascending global order
 // (segment id ranges are disjoint and ordered). k-NN scans alive rows
@@ -42,7 +51,9 @@
 //   swap     O(1) under the mutex: the new segment is installed, the
 //            consumed tombstones are erased (deletes that raced the
 //            rebuild stay tombstoned and are compacted next round), and
-//            the generation bumps.
+//            the generation bumps. The old segment is freed before the
+//            snapshot emission, and the freed heap is trimmed after it,
+//            so peak memory does not grow with the number of merges.
 //
 // Queries and the swap serialize on one store mutex, so a reader never
 // observes a half-installed segment; readers only ever wait for the O(1)
@@ -302,9 +313,9 @@ class MutableStore {
   /// in last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 
-  /// Range pipeline for one segment: FilterPhase over its index (or
-  /// ValidateAll at theta >= dmax), tombstones filtered BEFORE
-  /// validation, accepted locals mapped to global ids.
+  /// Range pipeline for one segment: RangeCandidates over its index
+  /// (dropped lists below dmax, every row at theta >= dmax), tombstones
+  /// filtered BEFORE validation, accepted locals mapped to global ids.
   template <typename Index>
   void CollectRangeLocked(const RankingStore& seg_store, const Index& index,
                           const std::vector<RankingId>& global_ids,

@@ -347,9 +347,14 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(Executor* executor,
 
 std::vector<RankingId> QueryFrontend::PostingUnion(
     Executor* executor, const PreparedQuery& query) {
-  // DropMode::kNone accesses every list, so the union depends only on the
-  // item set (the candidate-cache key); theta is irrelevant to it.
-  FilterPhase(*plain_index_, query.view(), /*theta_raw=*/0, DropMode::kNone,
+  // Unlike the other serving paths (kernel RangeCandidates), the
+  // candidate cache deliberately reads every list: its key is the query's
+  // item set alone, and one memoized union serves every theta. A dropped
+  // union depends on theta (w = MinOverlap(k, theta) picks the lists), so
+  // it could not be shared across thetas; DropMode::kNone keeps the union
+  // a superset of the answer at every theta below dmax.
+  FilterPhase(*plain_index_, query.view(), /*theta_raw=*/0,
+              DropMode::kNone,  // drop-none-ok: theta-independent cache key
               store_->size(), &executor->filter, &executor->stats);
   std::vector<RankingId>& out = executor->filter.candidates;
   std::sort(out.begin(), out.end());

@@ -50,11 +50,12 @@ Status LiveFrontend::ServeRange(const PreparedQuery& query,
                                 std::vector<RankingId>* out,
                                 Statistics* stats) {
   out->clear();
+  // Epoch read FIRST, before the call even counts as in flight: a
+  // mutation racing this call bumps after our read, so the answer below
+  // is never inserted (see header).
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   InflightGuard guard{&inflight_};
   const size_t inflight = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Epoch read FIRST: a mutation racing this call bumps after our read,
-  // so the insert below lands under an already-dead epoch (see header).
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   const bool cacheable = result_cache_.enabled();
   ResultCacheKey key{};
   if (cacheable) {
@@ -75,7 +76,9 @@ Status LiveFrontend::ServeRange(const PreparedQuery& query,
     out->clear();
     return status;  // never cache a non-answer
   }
-  if (cacheable) result_cache_.InsertRange(key, epoch, *out, stats);
+  if (cacheable && Current(epoch)) {
+    result_cache_.InsertRange(key, epoch, *out, stats);
+  }
   return Status::OK();
 }
 
@@ -83,9 +86,9 @@ Status LiveFrontend::ServeKnn(const PreparedQuery& query, size_t j,
                               QueryControl* control, std::vector<Neighbor>* out,
                               Statistics* stats) {
   out->clear();
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   InflightGuard guard{&inflight_};
   const size_t inflight = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   const bool cacheable = result_cache_.enabled();
   ResultCacheKey key{};
   if (cacheable) {
@@ -103,7 +106,9 @@ Status LiveFrontend::ServeKnn(const PreparedQuery& query, size_t j,
     out->clear();
     return status;
   }
-  if (cacheable) result_cache_.InsertKnn(key, epoch, *out, stats);
+  if (cacheable && Current(epoch)) {
+    result_cache_.InsertKnn(key, epoch, *out, stats);
+  }
   return Status::OK();
 }
 

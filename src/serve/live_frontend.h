@@ -11,10 +11,15 @@
 // BEFORE the cache lookup and insert the computed answer under that same
 // epoch. A mutation that lands after the read bumps the epoch under the
 // store mutex — before the store could have answered the query — so a
-// stale answer is inserted under an epoch that is already dead and can
-// never be served. The served answer therefore always equals the store's
-// answer at some point inside the call (linearizable), and an identical
-// re-issued query after any mutation recomputes.
+// stale answer would sit under an epoch that is already dead and could
+// never be served. Such an answer is not inserted at all: when the epoch
+// moved during the call the insert (a copy of the whole answer) is
+// skipped. An answer inserted under a live epoch still dies at the next
+// write after the call, which under a steady write stream is the common
+// case; this check does not save those copies. The served
+// answer always equals the store's answer at some point inside the call
+// (linearizable), and an identical re-issued query after any mutation
+// recomputes.
 //
 // The options_.wire_invalidation seam exists for the regression test
 // that reproduces the pre-PR bug (caches serving answers that predate a
@@ -114,6 +119,12 @@ class LiveFrontend {
   void InvalidateCaches() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:
+  /// Whether no invalidation landed since `epoch` was read: only then can
+  /// an answer computed in between ever be served from the cache.
+  bool Current(uint64_t epoch) const {
+    return epoch_.load(std::memory_order_acquire) == epoch;
+  }
+
   MutableStore* store_;
   LiveFrontendOptions options_;
   ResultCache result_cache_;

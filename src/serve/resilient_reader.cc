@@ -99,16 +99,9 @@ Status ResilientReader::SnapshotRangeLocked(const PreparedQuery& query,
                                             std::vector<RankingId>* out,
                                             Statistics* stats) {
   const RankingStore& store = snapshot_->snapshot.store();
-  if (theta_raw >= MaxDistance(store.k())) {
-    // A posting union misses rankings disjoint from the query (they sit
-    // at exactly dmax); validate the whole domain instead, exactly like
-    // the RAM tier does — the tiers stay bit-identical at every theta.
-    return ValidateLocked(store, AllIdsLocked(store.size()), query, theta_raw,
-                          control, out, stats);
-  }
   const std::span<const RankingId> candidates =
-      FilterPhase(snapshot_->snapshot.index(), query.view(), theta_raw,
-                  DropMode::kNone, store.size(), &filter_, stats);
+      RangeCandidates(snapshot_->snapshot.index(), query.view(), theta_raw,
+                      store.size(), &filter_, stats);
   Status status = ValidateLocked(store, candidates, query, theta_raw, control,
                                  out, stats);
   if (status.ok()) std::sort(out->begin(), out->end());
@@ -123,8 +116,8 @@ Status ResilientReader::RamRangeLocked(const PreparedQuery& query,
   // No index survives on this tier (the compressed postings lived in the
   // dropped mapping), so the fallback is a straight validate-everything
   // scan: slower, never wrong, and alive — which is the whole point.
-  return ValidateLocked(*ram_store_, AllIdsLocked(ram_store_->size()), query,
-                        theta_raw, control, out, stats);
+  return ValidateLocked(*ram_store_, AllIds(ram_store_->size(), &filter_),
+                        query, theta_raw, control, out, stats);
 }
 
 Status ResilientReader::ValidateLocked(const RankingStore& store,
@@ -144,17 +137,6 @@ Status ResilientReader::ValidateLocked(const RankingStore& store,
   }
   AddTicker(stats, Ticker::kResults, out->size());
   return Status::OK();
-}
-
-std::span<const RankingId> ResilientReader::AllIdsLocked(size_t n) {
-  if (all_ids_.size() < n) {
-    const size_t old = all_ids_.size();
-    all_ids_.resize(n);
-    for (size_t id = old; id < n; ++id) {
-      all_ids_[id] = static_cast<RankingId>(id);
-    }
-  }
-  return std::span<const RankingId>(all_ids_.data(), n);
 }
 
 }  // namespace topk

@@ -18,9 +18,16 @@
 //
 // Exactness across tiers: both paths answer bit-identically for every
 // theta. Below dmax the snapshot tier runs filter+validate over the
-// compressed index; at or above dmax (where a posting union provably
-// misses disjoint rankings) both tiers validate the full id domain.
-// tests/serve_robustness_test.cc differentials pin this.
+// compressed index with the paper's list dropping (kernel
+// RangeCandidates): only the lists SelectLists keeps under
+// DropMode::kPositionRefined are decoded — k - w of the query's k lists
+// where Lemma 2's refinement is provably sound, k - w + 1 elsewhere. That
+// is exact because every result within theta shares at least
+// w = MinOverlap(k, theta) items with the query and so appears in one of
+// the kept lists (DESIGN.md, "Drop refinement guard"). At or above dmax
+// (where a posting union provably misses disjoint rankings) both tiers
+// validate the full id domain. tests/serve_robustness_test.cc sweeps every
+// theta in [0, dmax] against brute force to pin this.
 //
 // Thread safety: all methods serialize on an internal mutex (the
 // kernel scratch and the tier state are shared); concurrent callers
@@ -105,14 +112,12 @@ class ResilientReader {
   Status RamRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
                         QueryControl* control, std::vector<RankingId>* out,
                         Statistics* stats) TOPK_REQUIRES(mutex_);
-  /// Validates candidates (or, for all_ids == true, the whole id domain
-  /// of `store`) through the shared kernel scratch.
+  /// Validates `candidates` of `store` through the shared kernel scratch.
   Status ValidateLocked(const RankingStore& store,
                         std::span<const RankingId> candidates,
                         const PreparedQuery& query, RawDistance theta_raw,
                         QueryControl* control, std::vector<RankingId>* out,
                         Statistics* stats) TOPK_REQUIRES(mutex_);
-  std::span<const RankingId> AllIdsLocked(size_t n) TOPK_REQUIRES(mutex_);
 
   const RankingStore* ram_store_;
   ResilientReaderOptions options_;
@@ -123,7 +128,6 @@ class ResilientReader {
   bool degraded_ TOPK_GUARDED_BY(mutex_) = false;
   FilterScratch filter_ TOPK_GUARDED_BY(mutex_);
   FootruleValidator validator_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> all_ids_ TOPK_GUARDED_BY(mutex_);
 };
 
 }  // namespace topk

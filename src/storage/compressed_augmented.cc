@@ -26,10 +26,10 @@ std::vector<RankingId> CompressedAugmentedEngine::Query(
 
   const uint32_t k = query.k();
   const RankingView q = query.view();
-  const std::vector<uint32_t> positions =
-      SelectLists(q, theta_raw, options_.drop,
-                  [this](ItemId item) { return index_->list_length(item); },
-                  stats);
+  SelectLists(q, theta_raw, options_.drop,
+              [this](ItemId item) { return index_->list_length(item); },
+              &positions_, stats);
+  const std::vector<uint32_t>& positions = positions_;
 
   // A sweep is complete when every occurrence of every candidate in every
   // query item's list was processed: no list dropped, no block skipped,

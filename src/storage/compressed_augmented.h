@@ -161,6 +161,7 @@ class CompressedAugmentedEngine {
   CompressedAugmentedOptions options_;
   std::vector<Accumulator> accs_;
   std::vector<RankingId> touched_;
+  std::vector<uint32_t> positions_;  // SelectLists output, per query
   std::vector<RankingId> survivors_;  // non-dead touched ids, per query
   std::vector<AugmentedEntry> decode_;
   FootruleValidator validator_;

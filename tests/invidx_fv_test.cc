@@ -14,6 +14,15 @@
 namespace topk {
 namespace {
 
+// SelectLists into a fresh buffer, for assertions on the kept positions.
+template <typename ListLength>
+std::vector<uint32_t> Selected(RankingView query, RawDistance theta_raw,
+                               DropMode mode, const ListLength& list_length) {
+  std::vector<uint32_t> positions;
+  SelectLists(query, theta_raw, mode, list_length, &positions);
+  return positions;
+}
+
 class FvEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<uint32_t, double, int>> {};
 
@@ -98,8 +107,8 @@ TEST(DropPolicyTest, NoDropAccessesAllLists) {
   PreparedQuery query(
       std::move(Ranking::Create({4, 9, 1, 7, 3})).ValueOrDie());
   const auto lists =
-      SelectLists(query.view(), 10, DropMode::kNone,
-                  [](ItemId) -> size_t { return 1; });
+      Selected(query.view(), 10, DropMode::kNone,
+               [](ItemId) -> size_t { return 1; });
   EXPECT_EQ(lists.size(), 5u);
 }
 
@@ -109,8 +118,8 @@ TEST(DropPolicyTest, ConservativeKeepsKMinusWPlusOne) {
   const uint32_t k = 5;
   for (RawDistance theta = 0; theta < MaxDistance(k); ++theta) {
     const auto lists =
-        SelectLists(query.view(), theta, DropMode::kConservative,
-                    [](ItemId item) -> size_t { return item; });
+        Selected(query.view(), theta, DropMode::kConservative,
+                 [](ItemId item) -> size_t { return item; });
     const uint32_t w = MinOverlap(k, theta);
     if (w <= 1) {
       EXPECT_EQ(lists.size(), k);
@@ -124,11 +133,11 @@ TEST(DropPolicyTest, DropsLongestListsFirst) {
   PreparedQuery query(
       std::move(Ranking::Create({4, 9, 1, 7, 3})).ValueOrDie());
   // Lengths: item 9 -> 90 (longest), item 7 -> 70, etc.
-  const auto lists = SelectLists(query.view(), /*theta=*/2,
-                                 DropMode::kConservative,
-                                 [](ItemId item) -> size_t {
-                                   return item * 10;
-                                 });
+  const auto lists = Selected(query.view(), /*theta=*/2,
+                              DropMode::kConservative,
+                              [](ItemId item) -> size_t {
+                                return item * 10;
+                              });
   // theta=2 => w = 4 => keep 2 lists: the two shortest (items 1 and 3 at
   // positions 2 and 4).
   EXPECT_EQ(lists, (std::vector<uint32_t>{2, 4}));
@@ -139,10 +148,10 @@ TEST(DropPolicyTest, RefinedKeepsTopWPosition) {
       std::move(Ranking::Create({4, 9, 1, 7, 3})).ValueOrDie());
   // theta = 0 => w = 5 (exact match), refinement sound (0 <= L(5,5)+1).
   // One list survives and it may be any position (all are top-w).
-  const auto lists = SelectLists(query.view(), 0, DropMode::kPositionRefined,
-                                 [](ItemId item) -> size_t {
-                                   return item;
-                                 });
+  const auto lists = Selected(query.view(), 0, DropMode::kPositionRefined,
+                              [](ItemId item) -> size_t {
+                                return item;
+                              });
   EXPECT_EQ(lists.size(), 1u);
 }
 
@@ -173,8 +182,8 @@ TEST_P(DropPolicyExhaustiveTest, SelectedListsCoverAllResults) {
     const PreparedQuery query(store.Materialize(qid));
     for (RawDistance theta = 0; theta < MaxDistance(k); ++theta) {
       const auto kept =
-          SelectLists(query.view(), theta, mode,
-                      [&index](ItemId item) { return index.list_length(item); });
+          Selected(query.view(), theta, mode,
+                   [&index](ItemId item) { return index.list_length(item); });
       // Union of kept lists.
       std::vector<bool> reachable(store.size(), false);
       for (uint32_t pos : kept) {
@@ -222,8 +231,8 @@ TEST(DropPolicyTest, UnguardedRefinementWouldMissResults) {
   EXPECT_EQ(d2, 6u);
   // The guard in SelectLists refuses the k-w refinement for theta = 4
   // (L(3,2)+1 = 3 < 4), falling back to k-w+1 = 2 lists.
-  const auto kept = SelectLists(query.view(), 4, DropMode::kPositionRefined,
-                                [](ItemId) -> size_t { return 1; });
+  const auto kept = Selected(query.view(), 4, DropMode::kPositionRefined,
+                             [](ItemId) -> size_t { return 1; });
   EXPECT_EQ(kept.size(), 2u);
 }
 

@@ -36,9 +36,10 @@ std::vector<RankingId> ReferenceFilter(const Index& index, RankingView query,
   VisitedSet visited(id_capacity);
   visited.NextEpoch();
   std::vector<RankingId> candidates;
-  const std::vector<uint32_t> positions = SelectLists(
-      query, theta_raw, drop,
-      [&index](ItemId item) { return index.list_length(item); }, nullptr);
+  std::vector<uint32_t> positions;
+  SelectLists(query, theta_raw, drop,
+              [&index](ItemId item) { return index.list_length(item); },
+              &positions);
   for (uint32_t pos : positions) {
     for (const auto& entry : index.list(query[pos])) {
       const RankingId id = PostingEntryId(entry);

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.h"
+#include "core/failpoint.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/types.h"
@@ -215,6 +216,82 @@ TEST(MutableStoreTest, DmaxThetaIncludesDisjointRankings) {
   EXPECT_TRUE(store.Delete(1));
   EXPECT_EQ(store.RangeQuery(query, MaxDistance(kK)),
             (std::vector<RankingId>{0}));
+}
+
+// Every segment reads only the lists SelectLists keeps (list dropping),
+// chosen per segment from its own list lengths. The store is caught
+// mid-merge — main, sealed and delta segments, tombstones in each — and
+// swept over every raw theta in [0, dmax]: both sides of each
+// MinDistanceForOverlap(k, w) + 1 refinement boundary, and dmax itself,
+// where every alive row is a candidate. The sealed segment is the one a
+// failed merge leaves serving, so it needs -DTOPK_FAILPOINTS=ON: the
+// debug-failpoints-asan and debug-tsan CI jobs sweep all three segments.
+// Other builds sweep main + delta only; sealed and delta share one
+// segment type and one code path.
+TEST(MutableStoreTest, MidMergeThetaSweepMatchesBruteForce) {
+  for (const uint32_t k : {10u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const RankingStore source = testutil::MakeClusteredStore(k, 700, 1201 + k);
+    const auto items_of = [&source](RankingId row) {
+      return std::vector<ItemId>(source.view(row).items().begin(),
+                                 source.view(row).items().end());
+    };
+    RankingStore initial(k);
+    ShadowMap alive;
+    for (RankingId id = 0; id < 400; ++id) {
+      initial.AddUnchecked(source.view(id).items());
+      alive.emplace(id, items_of(id));
+    }
+    MutableStoreOptions options;
+    options.merge_max_attempts = 1;
+    MutableStore store(initial, options);
+    RankingId row = 400;
+    const auto insert_rows = [&](RankingId count) {
+      for (const RankingId end = row + count; row < end; ++row) {
+        alive.emplace(store.Insert(source.view(row)), items_of(row));
+      }
+    };
+    const auto delete_every = [&](RankingId lo, RankingId hi, RankingId step) {
+      for (RankingId id = lo; id < hi; id += step) {
+        ASSERT_TRUE(store.Delete(id));
+        alive.erase(id);
+      }
+    };
+    // Tombstones in main and in the delta that a failed merge seals.
+    insert_rows(150);
+    delete_every(0, 400, 9);
+    delete_every(401, 550, 11);
+    if (FailpointsCompiledIn()) {
+      FailpointRegistry::Instance().Arm("mutate.merge.rebuild",
+                                        FailpointSpec{});
+      EXPECT_FALSE(store.MergeNow());  // sealed segment stays serving
+      FailpointRegistry::Instance().Disarm("mutate.merge.rebuild");
+      ASSERT_TRUE(store.merge_circuit_open());
+      ASSERT_EQ(store.delta_size(), 0u);
+    }
+    // The active delta, with tombstones of its own.
+    insert_rows(150);
+    delete_every(553, 700, 13);
+    ASSERT_EQ(store.live_size(), alive.size());
+
+    const Rebuilt r = RebuildFromShadow(k, alive);
+    const auto queries = testutil::MakeQueries(r.store, 5, 1301 + k);
+    for (RawDistance theta = 0; theta <= MaxDistance(k); ++theta) {
+      for (const PreparedQuery& query : queries) {
+        ASSERT_EQ(store.RangeQuery(query, theta),
+                  ExpectedRange(r, query, theta))
+            << "theta=" << theta;
+      }
+    }
+    if (k == 10) {
+      Statistics stats;
+      for (const PreparedQuery& query : queries) {
+        store.RangeQuery(query, RawThreshold(0.1, k), &stats);
+      }
+      EXPECT_GT(stats.Get(Ticker::kListsDropped), 0u)
+          << "the live store must drop lists at theta = 0.1";
+    }
+  }
 }
 
 TEST(MutableStoreTest, GenerationBumpsOnEveryMutation) {

@@ -394,6 +394,71 @@ TEST(LiveFrontendRobustnessTest, CacheHitBeatsSheddingDuringOverload) {
   EXPECT_TRUE(observed_shed) << "never caught the store mid-query";
 }
 
+// An invalidation inside a Serve* call makes its answer unservable on
+// arrival, so the frontend must not copy it into the cache. Made
+// deterministic by the store's listener order: a listener registered
+// before the frontend's parks a writer's Insert under the store mutex,
+// so the frontend's epoch bump (the next listener) is held back until
+// the reader has read its epoch, and the reader's store query runs only
+// after that bump. inflight() counts a call only once its epoch is read.
+TEST(LiveFrontendRobustnessTest, InvalidationInsideTheCallSkipsCacheInsert) {
+  constexpr uint32_t kK = 5;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 80, 1121);
+  MutableStore store(kK);
+  for (RankingId id = 0; id < 60; ++id) store.Insert(source.view(id));
+  std::atomic<bool> park{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  store.AddMutationListener([&] {
+    if (!park.load()) return;
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  LiveFrontend frontend(&store, {});  // its listener runs after the park
+
+  RankingId next_row = 60;
+  const auto serve_during_insert = [&](const auto& serve) {
+    park.store(true);
+    parked.store(false);
+    release.store(false);
+    std::thread writer([&] { store.Insert(source.view(next_row)); });
+    const bool writer_parked = SpinUntil([&] { return parked.load(); });
+    std::thread reader(serve);
+    const bool reader_in = SpinUntil([&] { return frontend.inflight() == 1; });
+    release.store(true);
+    writer.join();
+    reader.join();
+    park.store(false);
+    ++next_row;
+    EXPECT_TRUE(writer_parked);
+    EXPECT_TRUE(reader_in);
+  };
+
+  // The query is row 60, which the first raced insert adds: the answer
+  // the reader computes already holds it.
+  const PreparedQuery query(source.Materialize(60));
+  const RawDistance theta_raw = RawThreshold(0.2, kK);
+  std::vector<RankingId> range;
+  serve_during_insert([&] {
+    EXPECT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &range).ok());
+  });
+  EXPECT_EQ(frontend.result_cache_size(), 0u);
+  EXPECT_EQ(range, store.RangeQuery(query, theta_raw));  // after the insert
+
+  std::vector<Neighbor> knn;
+  serve_during_insert([&] {
+    EXPECT_TRUE(frontend.ServeKnn(query, 5, nullptr, &knn).ok());
+  });
+  EXPECT_EQ(frontend.result_cache_size(), 0u);
+  EXPECT_EQ(knn, store.KnnQuery(query, 5));
+
+  // Control: the same calls in a quiet epoch do cache their answers.
+  EXPECT_EQ(frontend.ServeRange(query, theta_raw),
+            store.RangeQuery(query, theta_raw));
+  EXPECT_EQ(frontend.ServeKnn(query, 5), store.KnnQuery(query, 5));
+  EXPECT_EQ(frontend.result_cache_size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(MergeCircuitBreakerTest, OpensAfterRetriesAndMergeNowRecovers) {
@@ -509,6 +574,39 @@ TEST_F(ResilientReaderTest, SnapshotTierAnswersBitExactly) {
   }
   EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 0u);
   EXPECT_FALSE(reader.degraded());
+}
+
+// The snapshot tier reads only the lists SelectLists keeps (list
+// dropping). Sweep every raw theta in [0, dmax] — both sides of each
+// MinDistanceForOverlap(k, w) + 1 refinement boundary, and dmax itself,
+// where the tier validates every row — for k = 10 and k = 5.
+TEST_F(ResilientReaderTest, SnapshotTierSweepsEveryThetaExactly) {
+  for (const uint32_t k : {10u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    store_ = testutil::MakeClusteredStore(k, 600, 133 + k);
+    queries_ = testutil::MakeQueries(store_, 5, 134 + k);
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    WriteSnapshot();
+    ResilientReader reader(&store_, {dir_, 3});
+    ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+    for (RawDistance theta = 0; theta <= MaxDistance(k); ++theta) {
+      for (const PreparedQuery& query : queries_) {
+        ASSERT_EQ(reader.RangeQuery(query, theta),
+                  testutil::BruteForce(store_, query, theta))
+            << "theta=" << theta;
+      }
+    }
+    EXPECT_FALSE(reader.degraded());
+    if (k == 10) {
+      Statistics stats;
+      for (const PreparedQuery& query : queries_) {
+        reader.RangeQuery(query, RawThreshold(0.1, k), &stats);
+      }
+      EXPECT_GT(stats.Get(Ticker::kListsDropped), 0u)
+          << "the snapshot tier must drop lists at theta = 0.1";
+    }
+  }
 }
 
 TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
