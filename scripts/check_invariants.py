@@ -69,6 +69,15 @@ Checks (each is a named rule; any violation exits non-zero):
                   through the kernel's RangeCandidates (always
                   kPositionRefined); a deliberate full read must say why on
                   the kNone line with `// drop-none-ok: <why>`.
+  knn-scan-serving
+                  In src/serve/ and src/mutate/, a whole-store k-NN scan
+                  (LinearScanKnn or the kernel's exhaustive fallback
+                  KnnScanSegment) computes a distance for every row, where
+                  the kernel's KnnSearchSegment reads a few posting lists
+                  and stops once the heap bound proves the answer. A
+                  deliberate scan (the fallback when the index cannot
+                  prove the answer, or a tier with no index) must say why
+                  on the call line with `// knn-scan-ok: <why>`.
 
 Run from anywhere: paths resolve relative to the repo root (parent of this
 script's directory). `--self-test` feeds each rule a synthetic violation
@@ -188,6 +197,12 @@ DROP_NONE_DIR_PREFIXES = ("src/serve/", "src/mutate/")
 FILTER_PHASE_CALL_RE = re.compile(r"\bFilterPhase\w*\s*\(")
 DROP_NONE_RE = re.compile(r"\bDropMode::kNone\b")
 DROP_NONE_OK_MARKER = "drop-none-ok:"
+
+# knn-scan-serving ----------------------------------------------------------
+
+KNN_SCAN_DIR_PREFIXES = ("src/serve/", "src/mutate/")
+KNN_SCAN_CALL_RE = re.compile(r"\b(?:LinearScanKnn|KnnScanSegment)\s*\(")
+KNN_SCAN_OK_MARKER = "knn-scan-ok:"
 
 # kernel-layering -----------------------------------------------------------
 
@@ -495,6 +510,22 @@ def check_drop_none_serving(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_knn_scan_serving(path: Path, lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if not rel.startswith(KNN_SCAN_DIR_PREFIXES):
+        return []
+    failures = []
+    for i, raw in enumerate(lines):
+        code = strip_comments_and_strings(raw)
+        if KNN_SCAN_CALL_RE.search(code) and KNN_SCAN_OK_MARKER not in raw:
+            failures.append(Failure(
+                "knn-scan-serving", f"{rel}:{i + 1}",
+                "whole-store k-NN scan on a serving path computes a distance "
+                "for every row — use the kernel's KnnSearchSegment, or "
+                f"justify the scan with '// {KNN_SCAN_OK_MARKER} <why>'"))
+    return failures
+
+
 def check_kernel_layering(path: Path, lines: list[str]) -> list[Failure]:
     rel = path.relative_to(REPO_ROOT).as_posix()
     if not rel.startswith("src/kernel/") or path.suffix != ".h":
@@ -530,6 +561,7 @@ def run_checks() -> list[Failure]:
         failures += check_block_skip_guard(path, lines)
         failures += check_syscall_status(path, lines)
         failures += check_drop_none_serving(path, lines)
+        failures += check_knn_scan_serving(path, lines)
     failures += check_bench_schema()
     return failures
 
@@ -607,6 +639,17 @@ def self_test() -> int:
              "  // drop-none-ok: this comment is not on the kNone line",
              "  FilterPhaseIdRange(index, q, theta,",
              "                     DropMode::kNone, lo, hi, n, &s);"])),
+        ("knn-scan-serving LinearScanKnn in serve",
+         lambda: check_knn_scan_serving(fake_serve, [
+             "  *out = LinearScanKnn(store, query, j, stats);"])),
+        ("knn-scan-serving kernel fallback in mutate",
+         lambda: check_knn_scan_serving(fake_mutate, [
+             "  KnnScanSegment(seg_store, query, alive,",
+             "                 &validator_, &knn_heap_, stats, control);"])),
+        ("knn-scan-serving marker on another line does not count",
+         lambda: check_knn_scan_serving(fake_serve, [
+             "  // knn-scan-ok: this comment is not on the call line",
+             "  KnnScanSegment(store, q, id_of, &v, &heap);"])),
     ]
     negatives = [
         ("epoch-zero legal wrap", lambda: check_epoch_zero(fake, [
@@ -701,6 +744,19 @@ def self_test() -> int:
         ("drop-none-serving outside serving dirs",
          lambda: check_drop_none_serving(fake, [
              "  FilterPhase(index, q, theta, DropMode::kNone, n, &s);"])),
+        ("knn-scan-serving marked fallback",
+         lambda: check_knn_scan_serving(fake_mutate, [
+             "  KnnScanSegment(seg_store, query, alive,  // knn-scan-ok: why",
+             "                 &validator_, &knn_heap_, stats, control);"])),
+        ("knn-scan-serving index search",
+         lambda: check_knn_scan_serving(fake_serve, [
+             "  KnnSearchSegment(index, store, q, id_of, &v, &s, &heap);"])),
+        ("knn-scan-serving name in a comment",
+         lambda: check_knn_scan_serving(fake_serve, [
+             "  // bit-identical to LinearScanKnn(store, q, j)"])),
+        ("knn-scan-serving outside serving dirs",
+         lambda: check_knn_scan_serving(fake, [
+             "  return LinearScanKnn(store, query, j);"])),
     ]
     ok = True
     for name, check in cases:

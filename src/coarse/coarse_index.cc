@@ -131,26 +131,7 @@ std::vector<RankingId> CoarseIndex::Query(const PreparedQuery& query,
 
 std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
                                        Statistics* stats) const {
-  std::vector<Neighbor> best;  // max-heap, worst admitted on top
-  auto less = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  auto bound = [&]() {
-    return best.size() == j ? best.front().distance
-                            : std::numeric_limits<RawDistance>::max();
-  };
-  auto offer = [&](RankingId id, RawDistance d) {
-    const Neighbor candidate{id, d};
-    if (best.size() < j) {
-      best.push_back(candidate);
-      std::push_heap(best.begin(), best.end(), less);
-    } else if (less(candidate, best.front())) {
-      std::pop_heap(best.begin(), best.end(), less);
-      best.back() = candidate;
-      std::push_heap(best.begin(), best.end(), less);
-    }
-  };
-
+  NeighborHeap heap(j);
   if (j > 0 && !medoids_.empty()) {
     // Medoid distances give an optimistic bound per partition: any member
     // tau satisfies d(q, tau) >= d(q, medoid) - radius.
@@ -175,11 +156,11 @@ std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
               });
 
     for (const Probe& probe : probes) {
-      if (probe.optimistic > bound()) break;
+      if (probe.optimistic > heap.Bound()) break;
       AddTicker(stats, Ticker::kPartitionsProbed);
       // Range-query the partition tree at the current bound and feed the
       // matches into the heap; the bound only shrinks, so this is exact.
-      const RawDistance radius_budget = bound();
+      const RawDistance radius_budget = heap.Bound();
       std::vector<RankingId> members;
       trees_[probe.pid].RangeQueryWithRootDistance(
           q, radius_budget == std::numeric_limits<RawDistance>::max()
@@ -188,16 +169,11 @@ std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
           probe.medoid_dist, stats, &members);
       for (RankingId id : members) {
         AddTicker(stats, Ticker::kDistanceCalls);
-        offer(id, FootruleDistance(q, store_->sorted(id)));
+        heap.Offer(id, FootruleDistance(q, store_->sorted(id)));
       }
     }
   }
-  std::sort(best.begin(), best.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.id < b.id;
-            });
-  return best;
+  return std::move(heap).Finish();
 }
 
 size_t CoarseIndex::MemoryUsage() const {

@@ -7,7 +7,10 @@
 // the same exactness guarantees as the range API.
 //
 // All searchers share the contract: results sorted by (distance, id),
-// exactly min(j, n) entries.
+// exactly min(j, n) entries. They keep their j best in the one bounded
+// NeighborHeap of kernel/knn_search.h (which also defines Neighbor); the
+// inverted-index k-NN the serving paths run (MutableStore,
+// ResilientReader) is that header's KnnSearchSegment.
 
 #ifndef TOPK_METRIC_KNN_H_
 #define TOPK_METRIC_KNN_H_
@@ -17,19 +20,14 @@
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
+#include "kernel/knn_search.h"
 #include "metric/bk_tree.h"
 #include "metric/m_tree.h"
 
 namespace topk {
 
-struct Neighbor {
-  RankingId id;
-  RawDistance distance;
-
-  friend bool operator==(const Neighbor&, const Neighbor&) = default;
-};
-
-/// Exhaustive baseline (and differential-test oracle).
+/// Exhaustive baseline (and differential-test oracle): one FootruleDistance
+/// per row.
 std::vector<Neighbor> LinearScanKnn(const RankingStore& store,
                                     const PreparedQuery& query, size_t j,
                                     Statistics* stats = nullptr);

@@ -56,6 +56,7 @@ MutableStore::MutableStore(const RankingStore& initial,
   std::iota(main->global_ids.begin(), main->global_ids.end(), RankingId{0});
   main_ = std::move(main);
   next_global_id_ = static_cast<RankingId>(initial.size());
+  deleted_.assign(initial.size(), false);
   if (!options_.snapshot_dir.empty()) {
     snapshot_manager_ = std::make_unique<storage::SnapshotManager>(
         options_.snapshot_dir,
@@ -86,6 +87,7 @@ RankingId MutableStore::Insert(RankingView record) {
   delta_.index.Insert(local, delta_.store.view(local));
   const RankingId global = next_global_id_++;
   delta_.global_ids.push_back(global);
+  deleted_.push_back(false);
   BumpGenerationLocked();
   if (options_.merge_threshold > 0 &&
       delta_.store.size() >= options_.merge_threshold) {
@@ -97,6 +99,7 @@ RankingId MutableStore::Insert(RankingView record) {
 bool MutableStore::Delete(RankingId id) {
   MutexLock lock(&mutex_);
   if (!ContainsLocked(id)) return false;
+  deleted_[id] = true;
   tombstones_.insert(id);
   BumpGenerationLocked();
   return true;
@@ -108,14 +111,9 @@ bool MutableStore::Contains(RankingId id) const {
 }
 
 bool MutableStore::ContainsLocked(RankingId id) const {
-  if (tombstones_.count(id) != 0) return false;
-  const auto present = [id](const std::vector<RankingId>& ids) {
-    return std::binary_search(ids.begin(), ids.end(), id);
-  };
-  // Newest segments first: a fresh id is most likely in the delta.
-  if (present(delta_.global_ids)) return true;
-  if (sealed_ != nullptr && present(sealed_->global_ids)) return true;
-  return present(main_->global_ids);
+  // Only deleted rows are ever compacted away, so every assigned id that
+  // was never deleted is physically present in some segment.
+  return id < deleted_.size() && !deleted_[id];
 }
 
 size_t MutableStore::live_size() const {
@@ -170,7 +168,7 @@ void MutableStore::CollectRangeLocked(const RankingStore& seg_store,
   pending_.clear();
   for (const RankingId local : RangeCandidates(
            index, query, theta_raw, seg_store.size(), &filter_, stats)) {
-    if (tombstones_.count(global_ids[local]) == 0) pending_.push_back(local);
+    if (!deleted_[global_ids[local]]) pending_.push_back(local);
   }
   AddTicker(stats, Ticker::kCandidates, pending_.size());
   accepted_.clear();
@@ -235,26 +233,40 @@ Status MutableStore::RangeQuery(const PreparedQuery& query,
   return Status::OK();
 }
 
-void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
-                                    const std::vector<RankingId>& global_ids,
-                                    RankingView query,
-                                    std::vector<Neighbor>* out,
-                                    Statistics* stats,
-                                    QueryControl* control) {
-  if (seg_store.empty()) return;
-  validator_.BindQuery(query,
-                       static_cast<size_t>(seg_store.max_item()) + 1);
-  const auto n = static_cast<RankingId>(seg_store.size());
-  for (RankingId local = 0; local < n; ++local) {
-    // ShouldStop amortizes its own clock reads, so the per-row cost is a
-    // countdown compare.
-    if (control != nullptr && control->ShouldStop()) return;
+namespace {
+
+/// A segment row's global id as the k-NN kernel sees it:
+/// kInvalidRankingId masks a deleted row before any distance call.
+struct AliveGlobalId {
+  const std::vector<RankingId>& global_ids;
+  const std::vector<bool>& deleted;
+
+  RankingId operator()(RankingId local) const {
     const RankingId global = global_ids[local];
-    if (tombstones_.count(global) != 0) continue;
-    AddTicker(stats, Ticker::kDistanceCalls);
-    out->push_back(
-        Neighbor{global, validator_.Distance(seg_store.view(local))});
+    return deleted[global] ? kInvalidRankingId : global;
   }
+};
+
+}  // namespace
+
+template <typename Index>
+void MutableStore::SearchKnnLocked(const RankingStore& seg_store,
+                                   const Index& index,
+                                   const std::vector<RankingId>& global_ids,
+                                   RankingView query, NeighborHeap* heap,
+                                   Statistics* stats, QueryControl* control) {
+  KnnSearchSegment(index, seg_store, query,
+                   AliveGlobalId{global_ids, deleted_}, &validator_,
+                   &filter_, heap, stats, control);
+}
+
+void MutableStore::ScanKnnLocked(const RankingStore& seg_store,
+                                 const std::vector<RankingId>& global_ids,
+                                 RankingView query, NeighborHeap* heap,
+                                 Statistics* stats, QueryControl* control) {
+  const AliveGlobalId alive{global_ids, deleted_};
+  KnnScanSegment(seg_store, query, alive,  // knn-scan-ok: unproven by index
+                 &validator_, heap, stats, control);
 }
 
 std::vector<Neighbor> MutableStore::KnnQuery(const PreparedQuery& query,
@@ -272,26 +284,35 @@ Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
   MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
-  CollectKnnLocked(main_->store, main_->global_ids, query.view(), out, stats,
-                   control);
+  const RankingView q = query.view();
+  // One heap across the segments, main first: its bound from the big
+  // segment stops the small ones after a few lists.
+  NeighborHeap heap(j);
+  SearchKnnLocked(main_->store, main_->index, main_->global_ids, q, &heap,
+                  stats, control);
   if (sealed_ != nullptr) {
-    CollectKnnLocked(sealed_->store, sealed_->global_ids, query.view(), out,
-                     stats, control);
+    SearchKnnLocked(sealed_->store, sealed_->index, sealed_->global_ids, q,
+                    &heap, stats, control);
   }
-  CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), out, stats,
-                   control);
+  SearchKnnLocked(delta_.store, delta_.index, delta_.global_ids, q, &heap,
+                  stats, control);
+  const bool stopped = control != nullptr && control->stopped();
+  if (!stopped && !KnnIndexProvesAnswer(heap, k_)) {
+    // Fewer than j alive rows share an item with the query, or a row
+    // disjoint from it could still tie at dmax: no posting list holds
+    // those rows, so the answer comes from an exhaustive rerun.
+    heap.Reset(j);
+    ScanKnnLocked(main_->store, main_->global_ids, q, &heap, stats, control);
+    if (sealed_ != nullptr) {
+      ScanKnnLocked(sealed_->store, sealed_->global_ids, q, &heap, stats,
+                    control);
+    }
+    ScanKnnLocked(delta_.store, delta_.global_ids, q, &heap, stats, control);
+  }
   if (control != nullptr && control->stopped()) {
-    out->clear();
     return StopStatus(*control, "knn query", stats);
   }
-  const auto by_distance_then_id = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  const size_t take = std::min(j, out->size());
-  std::partial_sort(out->begin(),
-                    out->begin() + static_cast<ptrdiff_t>(take), out->end(),
-                    by_distance_then_id);
-  out->resize(take);
+  *out = std::move(heap).Finish();
   return Status::OK();
 }
 

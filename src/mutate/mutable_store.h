@@ -13,7 +13,8 @@
 //                   extends its frozen item order incrementally);
 //   tombstones      Delete() marks a global id dead; dead ids are
 //                   filtered out of every candidate list BEFORE
-//                   validation and physically dropped at the next merge.
+//                   validation (one bit per global id) and physically
+//                   dropped at the next merge.
 //
 // Queries merge main + sealed + delta exactly: each segment runs the
 // same kernel FilterPhase -> FootruleValidator pipeline every static
@@ -29,9 +30,16 @@
 // rankings (theta >= dmax) every row is a candidate instead. Locals
 // map to global ids through strictly increasing per-segment maps, and
 // the per-segment result lists concatenate in ascending global order
-// (segment id ranges are disjoint and ordered). k-NN scans alive rows
-// through the bound validator and truncates to the global (distance, id)
-// order. Both answers are bit-identical to a store rebuilt from scratch
+// (segment id ranges are disjoint and ordered). k-NN runs the kernel's
+// list-at-a-time search (kernel/knn_search.h) over main, sealed and
+// delta in turn, into one heap over (distance, global id): each segment
+// reads its lists shortest first and stops once the heap is full, its
+// bound b is below dmax and SufficientLists(k, b) lists are read, since
+// every row within b lies in any k - w + 1 of them. When the heap is not
+// full after all segments, or its bound is dmax (rows disjoint from the
+// query, in no posting list, could tie), the answer comes from the
+// exhaustive scan instead (DESIGN.md, "k-NN stop rule"). Both answers
+// are bit-identical to a store rebuilt from scratch
 // out of the alive records in global-id order — the differential
 // contract tests/mutate_store_test.cc and tests/adapt_delta_test.cc
 // hold, including under TSan with concurrent writers and readers.
@@ -93,7 +101,7 @@
 #include "invidx/plain_inverted_index.h"
 #include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
-#include "metric/knn.h"
+#include "kernel/knn_search.h"
 
 namespace topk {
 
@@ -197,7 +205,7 @@ class MutableStore {
       TOPK_EXCLUDES(mutex_);
 
   /// Deadline/cancel-aware k-NN (same stop contract as the range
-  /// overload, with per-row amortized checks).
+  /// overload, with amortized checks per posting entry and per row).
   Status KnnQuery(const PreparedQuery& query, size_t j,
                   QueryControl* control, std::vector<Neighbor>* out,
                   Statistics* stats = nullptr) TOPK_EXCLUDES(mutex_);
@@ -323,10 +331,22 @@ class MutableStore {
                           std::vector<RankingId>* out, Statistics* stats,
                           QueryControl* control) TOPK_REQUIRES(mutex_);
 
-  void CollectKnnLocked(const RankingStore& seg_store,
-                        const std::vector<RankingId>& global_ids,
-                        RankingView query, std::vector<Neighbor>* out,
-                        Statistics* stats, QueryControl* control)
+  /// k-NN over one segment: the kernel's list-at-a-time search into
+  /// `heap`, stopping once the heap bound proves the segment done;
+  /// tombstoned rows are masked before any distance call.
+  template <typename Index>
+  void SearchKnnLocked(const RankingStore& seg_store, const Index& index,
+                       const std::vector<RankingId>& global_ids,
+                       RankingView query, NeighborHeap* heap,
+                       Statistics* stats, QueryControl* control)
+      TOPK_REQUIRES(mutex_);
+
+  /// The exhaustive fallback over one segment: every alive row is
+  /// offered to `heap`.
+  void ScanKnnLocked(const RankingStore& seg_store,
+                     const std::vector<RankingId>& global_ids,
+                     RankingView query, NeighborHeap* heap,
+                     Statistics* stats, QueryControl* control)
       TOPK_REQUIRES(mutex_);
 
   const uint32_t k_;
@@ -347,6 +367,10 @@ class MutableStore {
   DeltaSegment delta_ TOPK_GUARDED_BY(mutex_);
   /// Dead global ids still physically present in some segment.
   std::unordered_set<RankingId> tombstones_ TOPK_GUARDED_BY(mutex_);
+  /// One bit per assigned global id: set by Delete and never cleared
+  /// (ids are not reused). The query paths mask rows through it, one bit
+  /// test per candidate instead of a hash lookup.
+  std::vector<bool> deleted_ TOPK_GUARDED_BY(mutex_);
   RankingId next_global_id_ TOPK_GUARDED_BY(mutex_) = 0;
   std::vector<std::function<void()>> listeners_ TOPK_GUARDED_BY(mutex_);
   bool stop_worker_ TOPK_GUARDED_BY(mutex_) = false;

@@ -331,7 +331,8 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(Executor* executor,
   Statistics* stats = &executor->stats;
   switch (request.algorithm) {
     case Algorithm::kLinearScan:
-      return LinearScanKnn(*store_, *request.query, request.j, stats);
+      return LinearScanKnn(  // knn-scan-ok: the request names the scan
+          *store_, *request.query, request.j, stats);
     case Algorithm::kBkTree:
       return BkTreeKnn(*bk_tree_, *request.query, request.j, stats);
     case Algorithm::kMTree:

@@ -1,6 +1,7 @@
 #include "serve/resilient_reader.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "core/failpoint.h"
@@ -9,11 +10,20 @@ namespace topk {
 
 namespace {
 
-Status StopStatus(const QueryControl& control, Statistics* stats) {
+Status StopStatus(const QueryControl& control, const char* what,
+                  Statistics* stats) {
   AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("range query cancelled");
-  return Status::DeadlineExceeded("range query deadline exceeded");
+  if (control.cancelled()) {
+    return Status::Aborted(std::string(what) + " cancelled");
+  }
+  return Status::DeadlineExceeded(std::string(what) +
+                                  " deadline exceeded");
 }
+
+/// The snapshot and RAM tiers hold no tombstones: a row's id is global.
+struct IdentityId {
+  RankingId operator()(RankingId local) const { return local; }
+};
 
 }  // namespace
 
@@ -58,6 +68,20 @@ uint64_t ResilientReader::snapshot_generation() const {
   return snapshot_.has_value() ? snapshot_->generation : 0;
 }
 
+bool ResilientReader::UseSnapshotTierLocked(Statistics* stats) {
+  if (snapshot_.has_value() && !degraded_) {
+    // The failpoint stands in for the unscriptable hardware fault: a
+    // cold mmap page whose backing device died surfaces here, on first
+    // touch, not at open time. Degradation is sticky — one fault means
+    // the mapping cannot be trusted for any later page either.
+    if (!TOPK_FAILPOINT("serve.snapshot.query")) return true;
+    degraded_ = true;
+    snapshot_.reset();  // drop the failing mapping
+  }
+  if (degraded_) AddTicker(stats, Ticker::kDegradedReads);
+  return false;
+}
+
 Status ResilientReader::RangeQuery(const PreparedQuery& query,
                                    RawDistance theta_raw,
                                    QueryControl* control,
@@ -66,21 +90,11 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
   out->clear();
   MutexLock lock(&mutex_);
   if (control != nullptr && control->ShouldStop()) {
-    return StopStatus(*control, stats);
+    return StopStatus(*control, "range query", stats);
   }
-  if (snapshot_.has_value() && !degraded_) {
-    // The failpoint stands in for the unscriptable hardware fault: a
-    // cold mmap page whose backing device died surfaces here, on first
-    // touch, not at open time. Degradation is sticky — one fault means
-    // the mapping cannot be trusted for any later page either.
-    if (TOPK_FAILPOINT("serve.snapshot.query")) {
-      degraded_ = true;
-      snapshot_.reset();  // drop the failing mapping
-    } else {
-      return SnapshotRangeLocked(query, theta_raw, control, out, stats);
-    }
+  if (UseSnapshotTierLocked(stats)) {
+    return SnapshotRangeLocked(query, theta_raw, control, out, stats);
   }
-  if (degraded_) AddTicker(stats, Ticker::kDegradedReads);
   return RamRangeLocked(query, theta_raw, control, out, stats);
 }
 
@@ -133,10 +147,55 @@ Status ResilientReader::ValidateLocked(const RankingStore& store,
   validator_.ValidateSpan(store, candidates, theta_raw, out, stats, control);
   if (control != nullptr && control->ShouldStop()) {
     out->clear();
-    return StopStatus(*control, stats);
+    return StopStatus(*control, "range query", stats);
   }
   AddTicker(stats, Ticker::kResults, out->size());
   return Status::OK();
+}
+
+Status ResilientReader::KnnQuery(const PreparedQuery& query, size_t j,
+                                 QueryControl* control,
+                                 std::vector<Neighbor>* out,
+                                 Statistics* stats) {
+  out->clear();
+  MutexLock lock(&mutex_);
+  if (control != nullptr && control->ShouldStop()) {
+    return StopStatus(*control, "knn query", stats);
+  }
+  const RankingView q = query.view();
+  NeighborHeap heap(j);
+  const RankingStore* scan_store = ram_store_;
+  if (UseSnapshotTierLocked(stats)) {
+    // The same list-at-a-time search MutableStore runs per segment, over
+    // the decoded lists of the mmap tier; the exhaustive scan below only
+    // runs when the index cannot prove the answer.
+    scan_store = &snapshot_->snapshot.store();
+    KnnSearchSegment(snapshot_->snapshot.index(), *scan_store, q,
+                     IdentityId{}, &validator_, &filter_, &heap, stats,
+                     control);
+    if (KnnIndexProvesAnswer(heap, q.k())) scan_store = nullptr;
+  }
+  if (scan_store != nullptr && !(control != nullptr && control->stopped())) {
+    // The RAM tier has no index (the compressed postings lived in the
+    // dropped mapping), and on the snapshot tier the index could not
+    // prove the answer: either way every row of the tier is offered.
+    heap.Reset(j);
+    KnnScanSegment(*scan_store, q, IdentityId{},  // knn-scan-ok: no index
+                   &validator_, &heap, stats, control);
+  }
+  if (control != nullptr && control->stopped()) {
+    return StopStatus(*control, "knn query", stats);
+  }
+  *out = std::move(heap).Finish();
+  return Status::OK();
+}
+
+std::vector<Neighbor> ResilientReader::KnnQuery(const PreparedQuery& query,
+                                                size_t j, Statistics* stats) {
+  std::vector<Neighbor> out;
+  const Status status = KnnQuery(query, j, nullptr, &out, stats);
+  TOPK_DCHECK(status.ok());  // no deadline, no fault surfaces as a status
+  return out;
 }
 
 }  // namespace topk

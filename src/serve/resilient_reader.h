@@ -5,7 +5,7 @@
 // RAM, but backed by a device that can fail *after* open — a torn cable
 // or a dying disk surfaces as SIGBUS/EIO on first touch of a cold page,
 // long after OpenStoreSnapshot validated the metadata. ResilientReader
-// is the serving-side answer: every range query first probes the
+// is the serving-side answer: every range and k-NN query first probes the
 // snapshot tier; a read fault there (modelled by the
 // "serve.snapshot.query" failpoint — the hardware itself cannot be
 // scripted in a test) trips a *sticky* degradation to the in-RAM store,
@@ -29,6 +29,14 @@
 // validate the full id domain. tests/serve_robustness_test.cc sweeps every
 // theta in [0, dmax] against brute force to pin this.
 //
+// k-NN takes the same tier choice. The snapshot tier runs the kernel's
+// list-at-a-time search (kernel/knn_search.h) over the decoded lists,
+// shortest first, and stops once the heap bound b proves the answer: the
+// heap is full, b < dmax, and SufficientLists(k, b) lists are read. When
+// the index cannot prove it (fewer than j rows share an item with the
+// query, or b = dmax) the tier scans every row, as the RAM tier always
+// does.
+//
 // Thread safety: all methods serialize on an internal mutex (the
 // kernel scratch and the tier state are shared); concurrent callers
 // block rather than race. Deadlines/cancellation thread through
@@ -50,6 +58,7 @@
 #include "core/types.h"
 #include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
+#include "kernel/knn_search.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -104,7 +113,25 @@ class ResilientReader {
                                     Statistics* stats = nullptr)
       TOPK_EXCLUDES(mutex_);
 
+  /// The j nearest rows, sorted by (distance, id), exactly min(j, n)
+  /// entries — bit-identical to LinearScanKnn over the RAM store. The
+  /// tier choice, the serve.snapshot.query fault and the sticky degrade
+  /// are RangeQuery's; a stop leaves `*out` empty with the same statuses.
+  Status KnnQuery(const PreparedQuery& query, size_t j, QueryControl* control,
+                  std::vector<Neighbor>* out, Statistics* stats = nullptr)
+      TOPK_EXCLUDES(mutex_);
+
+  /// Convenience wrapper: no deadline, asserts OK.
+  std::vector<Neighbor> KnnQuery(const PreparedQuery& query, size_t j,
+                                 Statistics* stats = nullptr)
+      TOPK_EXCLUDES(mutex_);
+
  private:
+  /// Whether this query reads the snapshot tier. Probes the
+  /// serve.snapshot.query fault first: a fault degrades stickily and
+  /// drops the mapping. Ticks kDegradedReads when the answer comes from
+  /// the RAM tier of a degraded reader.
+  bool UseSnapshotTierLocked(Statistics* stats) TOPK_REQUIRES(mutex_);
   Status SnapshotRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
                              QueryControl* control,
                              std::vector<RankingId>* out, Statistics* stats)

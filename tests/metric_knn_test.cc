@@ -1,12 +1,21 @@
 // KNN queries (extension beyond the paper's range-only evaluation):
 // exactness of every searcher against the linear-scan oracle, pruning
-// effectiveness, and edge cases.
+// effectiveness, and edge cases. The kernel's list-at-a-time search
+// (kernel/knn_search.h) is pinned here on its own, over one segment and
+// over several segments sharing one heap.
 
 #include "metric/knn.h"
+
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_index.h"
+#include "core/deadline.h"
+#include "invidx/plain_inverted_index.h"
+#include "kernel/knn_search.h"
 #include "test_util.h"
 
 namespace topk {
@@ -119,6 +128,191 @@ TEST(KnnTest, DuplicateHeavyCollection) {
   // the swapped variant (distance 2).
   for (size_t i = 0; i < 100; ++i) EXPECT_EQ(nn[i].distance, 0u);
   for (size_t i = 100; i < 150; ++i) EXPECT_EQ(nn[i].distance, 2u);
+}
+
+// One indexed slice of a store: its rows, their inverted index, and the
+// id each row answers with.
+struct Segment {
+  RankingStore store;
+  PlainInvertedIndex index;
+  std::vector<RankingId> ids;
+};
+
+// The store split round-robin into `parts` segments, so the ids of one
+// segment interleave with the others' and (distance, id) ties cross
+// segments.
+std::vector<Segment> SplitRoundRobin(const RankingStore& store,
+                                     size_t parts) {
+  std::vector<Segment> segments;
+  segments.reserve(parts);
+  for (size_t s = 0; s < parts; ++s) {
+    segments.push_back(Segment{RankingStore(store.k()), {}, {}});
+  }
+  for (RankingId id = 0; id < store.size(); ++id) {
+    Segment& segment = segments[id % parts];
+    segment.store.AddUnchecked(store.view(id).items());
+    segment.ids.push_back(id);
+  }
+  for (Segment& segment : segments) {
+    segment.index = PlainInvertedIndex::Build(segment.store);
+  }
+  return segments;
+}
+
+// The serving paths' k-NN: the index search over every segment into one
+// heap, then the exhaustive rerun when the heap cannot prove the answer.
+std::vector<Neighbor> IndexKnn(const std::vector<Segment>& segments,
+                               const PreparedQuery& query, size_t j,
+                               Statistics* stats = nullptr,
+                               QueryControl* control = nullptr) {
+  FilterScratch scratch;
+  FootruleValidator validator;
+  NeighborHeap heap(j);
+  for (const Segment& segment : segments) {
+    const auto id_of = [&segment](RankingId local) {
+      return segment.ids[local];
+    };
+    KnnSearchSegment(segment.index, segment.store, query.view(), id_of,
+                     &validator, &scratch, &heap, stats, control);
+  }
+  if (!KnnIndexProvesAnswer(heap, query.k())) {
+    heap.Reset(j);
+    for (const Segment& segment : segments) {
+      const auto id_of = [&segment](RankingId local) {
+        return segment.ids[local];
+      };
+      KnnScanSegment(segment.store, query.view(), id_of, &validator, &heap,
+                     stats, control);
+    }
+  }
+  return std::move(heap).Finish();
+}
+
+TEST(KnnSearchTest, IndexSearchMatchesLinearScanOverSegments) {
+  for (const uint32_t k : {5u, 10u}) {
+    // Every row twice, so equal distances are common and their order is
+    // decided by id across segments.
+    const RankingStore base = testutil::MakeClusteredStore(k, 400, 231 + k);
+    RankingStore store(k);
+    for (int copy = 0; copy < 2; ++copy) {
+      for (RankingId id = 0; id < base.size(); ++id) {
+        store.AddUnchecked(base.view(id).items());
+      }
+    }
+    auto queries = testutil::MakeQueries(base, 20, 232 + k);
+    for (const RankingId row : {0u, 17u, 250u}) {
+      queries.emplace_back(base.Materialize(row));
+    }
+    for (const size_t parts : {size_t{1}, size_t{3}}) {
+      const std::vector<Segment> segments = SplitRoundRobin(store, parts);
+      for (const size_t j :
+           {size_t{1}, size_t{2}, size_t{10}, size_t{37}, store.size() + 3}) {
+        for (const PreparedQuery& query : queries) {
+          ASSERT_EQ(IndexKnn(segments, query, j),
+                    LinearScanKnn(store, query, j))
+              << "k=" << k << " parts=" << parts << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnSearchTest, StopRuleLeavesListsUnreadAndRowsUntouched) {
+  const RankingStore store = testutil::MakeClusteredStore(10, 3000, 233);
+  const std::vector<Segment> segments = SplitRoundRobin(store, 1);
+  Statistics all;
+  for (RankingId row = 0; row < 3000; row += 300) {
+    const PreparedQuery query(store.Materialize(row));
+    Statistics stats;
+    EXPECT_EQ(IndexKnn(segments, query, 10, &stats),
+              LinearScanKnn(store, query, 10));
+    EXPECT_LT(stats.Get(Ticker::kDistanceCalls), store.size()) << row;
+    all.MergeFrom(stats);
+  }
+  EXPECT_GT(all.Get(Ticker::kListsDropped), 0u);
+}
+
+TEST(KnnSearchTest, DisjointQueryFallsBackToTheScan) {
+  // No query item occurs in any row: every list is empty, the heap stays
+  // empty, and every row sits at dmax, so the answer is the j lowest ids.
+  const RankingStore store = testutil::MakeClusteredStore(5, 200, 234);
+  const std::vector<Segment> segments = SplitRoundRobin(store, 3);
+  const PreparedQuery query(std::move(Ranking::Create(
+                                {90001, 90002, 90003, 90004, 90005}))
+                                .ValueOrDie());
+  for (const size_t j : {size_t{1}, size_t{10}, store.size() + 3}) {
+    const std::vector<Neighbor> nn = IndexKnn(segments, query, j);
+    EXPECT_EQ(nn, LinearScanKnn(store, query, j));
+    ASSERT_EQ(nn.size(), std::min(j, store.size()));
+    for (size_t i = 0; i < nn.size(); ++i) {
+      EXPECT_EQ(nn[i], (Neighbor{static_cast<RankingId>(i), MaxDistance(5)}));
+    }
+  }
+}
+
+TEST(KnnSearchTest, MaskedRowsCostNoDistanceCall) {
+  const RankingStore store = testutil::MakeClusteredStore(5, 300, 235);
+  const PlainInvertedIndex index = PlainInvertedIndex::Build(store);
+  const PreparedQuery query(store.Materialize(7));
+  FilterScratch scratch;
+  FootruleValidator validator;
+  NeighborHeap heap(10);
+  Statistics stats;
+  const auto masked = [](RankingId) { return kInvalidRankingId; };
+  KnnSearchSegment(index, store, query.view(), masked, &validator, &scratch,
+                   &heap, &stats);
+  EXPECT_FALSE(KnnIndexProvesAnswer(heap, 5));
+  KnnScanSegment(store, query.view(), masked, &validator, &heap, &stats);
+  EXPECT_TRUE(std::move(heap).Finish().empty());
+  EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), 0u);
+}
+
+TEST(KnnSearchTest, ExpiredDeadlineAndCancelStopBothLoops) {
+  const RankingStore store = testutil::MakeClusteredStore(5, 300, 236);
+  const PlainInvertedIndex index = PlainInvertedIndex::Build(store);
+  const auto identity = [](RankingId id) { return id; };
+  const PreparedQuery query(store.Materialize(3));
+  FilterScratch scratch;
+  FootruleValidator validator;
+  NeighborHeap heap(10);
+
+  QueryControl expired(Deadline::AfterMillis(-1.0));
+  KnnSearchSegment(index, store, query.view(), identity, &validator,
+                   &scratch, &heap, nullptr, &expired);
+  EXPECT_TRUE(expired.stopped());
+  EXPECT_FALSE(expired.cancelled());
+  EXPECT_FALSE(heap.full());
+
+  CancelToken token;
+  token.Cancel();
+  QueryControl cancelled(Deadline::Infinite(), &token);
+  heap.Reset(10);
+  KnnScanSegment(store, query.view(), identity, &validator, &heap, nullptr,
+                 &cancelled);
+  EXPECT_TRUE(cancelled.stopped());
+  EXPECT_TRUE(cancelled.cancelled());
+  EXPECT_FALSE(heap.full());
+}
+
+TEST(KnnSearchTest, NeighborHeapKeepsTheBestJ) {
+  NeighborHeap heap(3);
+  EXPECT_EQ(heap.Bound(), std::numeric_limits<RawDistance>::max());
+  heap.Offer(5, 4);
+  heap.Offer(1, 9);
+  heap.Offer(7, 4);
+  EXPECT_TRUE(heap.full());
+  EXPECT_EQ(heap.Bound(), 9u);
+  heap.Offer(9, 9);  // ties the worst but has the larger id: rejected
+  heap.Offer(0, 9);  // ties the worst with a smaller id: admitted
+  EXPECT_EQ(heap.Bound(), 9u);
+  heap.Offer(2, 1);
+  EXPECT_EQ(heap.Bound(), 4u);
+  EXPECT_EQ(std::move(heap).Finish(),
+            (std::vector<Neighbor>{{2, 1}, {5, 4}, {7, 4}}));
+  NeighborHeap none(0);
+  none.Offer(1, 1);
+  EXPECT_TRUE(KnnIndexProvesAnswer(none, 5));
+  EXPECT_TRUE(std::move(none).Finish().empty());
 }
 
 }  // namespace

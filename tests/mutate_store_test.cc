@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.h"
+#include "core/deadline.h"
 #include "core/failpoint.h"
 #include "core/ranking.h"
 #include "core/rng.h"
@@ -291,6 +292,161 @@ TEST(MutableStoreTest, MidMergeThetaSweepMatchesBruteForce) {
       EXPECT_GT(stats.Get(Ticker::kListsDropped), 0u)
           << "the live store must drop lists at theta = 0.1";
     }
+  }
+}
+
+// k-NN reads each segment's lists shortest first into one heap and stops
+// a segment once the heap bound proves it done. Every source row is
+// present up to three times — in main, in the sealed segment a failed
+// merge leaves serving (failpoint builds only, as above) and in the delta
+// — so rows at equal distance tie across segments and the global id
+// decides. Tombstones sit in every segment.
+TEST(MutableStoreTest, KnnWithDuplicatesAcrossSegmentsMatchesRebuild) {
+  constexpr uint32_t kK = 10;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 300, 1401);
+  const auto items_of = [&source](RankingId row) {
+    return std::vector<ItemId>(source.view(row).items().begin(),
+                               source.view(row).items().end());
+  };
+  MutableStoreOptions options;
+  options.merge_max_attempts = 1;
+  MutableStore store(source, options);
+  ShadowMap alive;
+  for (RankingId id = 0; id < source.size(); ++id) {
+    alive.emplace(id, items_of(id));
+  }
+  const auto copy_rows = [&](RankingId lo, RankingId hi) {
+    for (RankingId row = lo; row < hi; ++row) {
+      alive.emplace(store.Insert(source.view(row)), items_of(row));
+    }
+  };
+  const auto delete_every = [&](RankingId lo, RankingId hi, RankingId step) {
+    for (RankingId id = lo; id < hi; id += step) {
+      ASSERT_TRUE(store.Delete(id));
+      alive.erase(id);
+    }
+  };
+  delete_every(0, 300, 7);
+  copy_rows(0, 200);  // ids 300..499
+  delete_every(301, 500, 5);
+  if (FailpointsCompiledIn()) {
+    FailpointRegistry::Instance().Arm("mutate.merge.rebuild",
+                                      FailpointSpec{});
+    EXPECT_FALSE(store.MergeNow());  // sealed segment stays serving
+    FailpointRegistry::Instance().Disarm("mutate.merge.rebuild");
+    ASSERT_TRUE(store.merge_circuit_open());
+  }
+  copy_rows(0, 200);  // ids 500..699
+  delete_every(502, 700, 6);
+  ASSERT_EQ(store.live_size(), alive.size());
+
+  const Rebuilt r = RebuildFromShadow(kK, alive);
+  auto queries = testutil::MakeQueries(source, 12, 1402);
+  for (const RankingId row : {1u, 12u, 150u, 299u}) {
+    queries.emplace_back(source.Materialize(row));
+  }
+  for (const size_t j : {size_t{1}, size_t{10}, alive.size() + 3}) {
+    for (const PreparedQuery& query : queries) {
+      ASSERT_EQ(store.KnnQuery(query, j), ExpectedKnn(r, query, j))
+          << "j=" << j;
+    }
+  }
+}
+
+// Items in no row leave every list empty: the heap cannot fill from the
+// index and the exhaustive rerun answers with rows at dmax. A query that
+// shares items with only three rows fills the heap only for j <= 3.
+TEST(MutableStoreTest, KnnFallsBackWhenTheListsCannotFillTheHeap) {
+  constexpr uint32_t kK = 5;
+  const RankingStore initial = testutil::MakeUniformStore(kK, 200, 400, 1411);
+  MutableStore store(initial);
+  ShadowMap alive;
+  for (RankingId id = 0; id < initial.size(); ++id) {
+    const auto items = initial.view(id).items();
+    alive.emplace(id, std::vector<ItemId>(items.begin(), items.end()));
+  }
+  const std::vector<ItemId> rare{900, 1, 2, 3, 4};
+  for (int copy = 0; copy < 3; ++copy) {
+    alive.emplace(store.Insert(RankingView(rare.data(), kK)), rare);
+  }
+  for (RankingId id = 0; id < 40; id += 3) {
+    ASSERT_TRUE(store.Delete(id));
+    alive.erase(id);
+  }
+  const Rebuilt r = RebuildFromShadow(kK, alive);
+  const PreparedQuery disjoint(
+      std::move(Ranking::Create({5001, 5002, 5003, 5004, 5005})).ValueOrDie());
+  const PreparedQuery few(
+      std::move(Ranking::Create({900, 5002, 5003, 5004, 5005})).ValueOrDie());
+  for (const size_t j : {size_t{1}, size_t{3}, size_t{10}, alive.size() + 3}) {
+    EXPECT_EQ(store.KnnQuery(disjoint, j), ExpectedKnn(r, disjoint, j))
+        << "j=" << j;
+    EXPECT_EQ(store.KnnQuery(few, j), ExpectedKnn(r, few, j)) << "j=" << j;
+  }
+  // The disjoint answer is the lowest alive ids, all at dmax.
+  const std::vector<Neighbor> nn = store.KnnQuery(disjoint, 2);
+  EXPECT_EQ(nn, (std::vector<Neighbor>{{1, MaxDistance(kK)},
+                                       {2, MaxDistance(kK)}}));
+}
+
+// On clustered data the index path validates far fewer rows than the
+// store holds; a full scan would cost live_size() distance calls.
+TEST(MutableStoreTest, KnnValidatesFewerRowsThanTheStoreHolds) {
+  constexpr uint32_t kK = 10;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 3000, 1421);
+  RankingStore initial(kK);
+  for (RankingId id = 0; id < 2800; ++id) {
+    initial.AddUnchecked(source.view(id).items());
+  }
+  MutableStore store(initial);
+  for (RankingId id = 2800; id < 3000; ++id) store.Insert(source.view(id));
+  for (RankingId id = 0; id < 3000; id += 50) ASSERT_TRUE(store.Delete(id));
+  Statistics all;
+  for (RankingId row = 1; row < 3000; row += 250) {
+    const PreparedQuery query(source.Materialize(row));
+    Statistics stats;
+    store.KnnQuery(query, 10, &stats);
+    EXPECT_LT(stats.Get(Ticker::kDistanceCalls), store.live_size())
+        << "row=" << row;
+    all.MergeFrom(stats);
+  }
+  EXPECT_GT(all.Get(Ticker::kListsDropped), 0u);
+}
+
+// A stop inside the index search or inside the fallback scan discards
+// the partial heap: Status error, empty answer, no partial result.
+TEST(MutableStoreTest, KnnDeadlineAndCancelStopBothPaths) {
+  constexpr uint32_t kK = 10;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 600, 1431);
+  MutableStore store(source);
+  for (RankingId id = 0; id < 50; ++id) store.Insert(source.view(id));
+  const PreparedQuery indexed(source.Materialize(9));
+  std::vector<ItemId> absent(kK);
+  for (uint32_t p = 0; p < kK; ++p) absent[p] = 70000 + p;
+  const PreparedQuery disjoint(std::move(Ranking::Create(absent)).ValueOrDie());
+
+  for (const PreparedQuery* query : {&indexed, &disjoint}) {
+    QueryControl expired(Deadline::AfterMillis(-1.0));
+    std::vector<Neighbor> out{Neighbor{1, 1}};
+    Statistics stats;
+    EXPECT_EQ(store.KnnQuery(*query, 10, &expired, &out, &stats).code(),
+              Status::Code::kDeadlineExceeded);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 1u);
+    EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), 0u);
+
+    CancelToken token;
+    token.Cancel();
+    QueryControl cancelled(Deadline::Infinite(), &token);
+    out.assign(1, Neighbor{1, 1});
+    EXPECT_EQ(store.KnnQuery(*query, 10, &cancelled, &out).code(),
+              Status::Code::kAborted);
+    EXPECT_TRUE(out.empty());
+
+    QueryControl unconstrained(Deadline::Infinite());
+    ASSERT_TRUE(store.KnnQuery(*query, 10, &unconstrained, &out).ok());
+    EXPECT_EQ(out, store.KnnQuery(*query, 10));
+    EXPECT_EQ(out.size(), 10u);
   }
 }
 

@@ -25,6 +25,7 @@
 #include "harness/parallel_runner.h"
 #include "harness/sharded_store.h"
 #include "invidx/plain_inverted_index.h"
+#include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
 #include "serve/live_frontend.h"
@@ -664,6 +665,98 @@ TEST_F(ResilientReaderTest, ExpiredDeadlineStopsEitherTier) {
   EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
   EXPECT_TRUE(out.empty());
   EXPECT_GE(stats.Get(Ticker::kDeadlineExceeded), 1u);
+}
+
+// k-NN takes the range query's tier choice: the snapshot tier runs the
+// kernel's list-at-a-time search over the decoded lists, the RAM tier
+// scans. Both must equal LinearScanKnn, including a query whose items
+// occur in no row (the index cannot fill the heap) and j > n.
+TEST_F(ResilientReaderTest, KnnMatchesLinearScanOnEitherTier) {
+  WriteSnapshot();
+  ResilientReader snapshot_tier(&store_, {dir_, 3});
+  ASSERT_TRUE(snapshot_tier.OpenSnapshotTier().ok());
+  ResilientReader ram_tier(&store_, {});
+  std::vector<PreparedQuery> queries = queries_;
+  std::vector<ItemId> absent(store_.k());
+  for (uint32_t p = 0; p < store_.k(); ++p) absent[p] = 80000 + p;
+  queries.emplace_back(std::move(Ranking::Create(absent)).ValueOrDie());
+  queries.emplace_back(store_.Materialize(11));
+  Statistics stats;
+  for (const size_t j : {size_t{1}, size_t{10}, store_.size() + 3}) {
+    for (const PreparedQuery& query : queries) {
+      const std::vector<Neighbor> truth = LinearScanKnn(store_, query, j);
+      EXPECT_EQ(snapshot_tier.KnnQuery(query, j, &stats), truth) << j;
+      EXPECT_EQ(ram_tier.KnnQuery(query, j), truth) << j;
+    }
+  }
+  EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 0u);
+  EXPECT_FALSE(snapshot_tier.degraded());
+
+  // The snapshot tier answers a stored row's neighbours from its lists.
+  Statistics indexed;
+  snapshot_tier.KnnQuery(queries.back(), 10, &indexed);
+  EXPECT_LT(indexed.Get(Ticker::kDistanceCalls), store_.size());
+}
+
+TEST_F(ResilientReaderTest, KnnSnapshotFaultDegradesStickilyThenRestores) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  WriteSnapshot();
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+  {
+    FailpointSpec one_shot;
+    one_shot.max_fires = 1;
+    ScopedFailpoint fault("serve.snapshot.query", one_shot);
+    Statistics stats;
+    EXPECT_EQ(reader.KnnQuery(queries_[0], 10, &stats),
+              LinearScanKnn(store_, queries_[0], 10));
+    EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 1u);
+    EXPECT_TRUE(reader.degraded());
+    EXPECT_FALSE(reader.snapshot_open());
+  }
+  // Sticky for both query kinds: the RAM tier keeps answering exactly.
+  Statistics stats;
+  EXPECT_EQ(reader.KnnQuery(queries_[1], 10, &stats),
+            LinearScanKnn(store_, queries_[1], 10));
+  const RawDistance theta = RawThreshold(0.3, store_.k());
+  EXPECT_EQ(reader.RangeQuery(queries_[1], theta, &stats),
+            testutil::BruteForce(store_, queries_[1], theta));
+  EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 2u);
+  EXPECT_TRUE(reader.degraded());
+
+  ASSERT_TRUE(reader.RestoreSnapshotTier().ok());
+  Statistics healthy;
+  for (const size_t j : {size_t{1}, size_t{10}, store_.size() + 3}) {
+    EXPECT_EQ(reader.KnnQuery(queries_[2], j, &healthy),
+              LinearScanKnn(store_, queries_[2], j));
+  }
+  EXPECT_EQ(healthy.Get(Ticker::kDegradedReads), 0u);
+}
+
+TEST_F(ResilientReaderTest, KnnDeadlineAndCancelStopEitherTier) {
+  WriteSnapshot();
+  ResilientReader snapshot_tier(&store_, {dir_, 3});
+  ASSERT_TRUE(snapshot_tier.OpenSnapshotTier().ok());
+  ResilientReader ram_tier(&store_, {});
+  for (ResilientReader* reader : {&snapshot_tier, &ram_tier}) {
+    QueryControl expired(Deadline::AfterMillis(-1.0));
+    std::vector<Neighbor> out{Neighbor{7, 7}};
+    Statistics stats;
+    EXPECT_EQ(reader->KnnQuery(queries_[0], 10, &expired, &out, &stats).code(),
+              Status::Code::kDeadlineExceeded);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 1u);
+
+    CancelToken token;
+    token.Cancel();
+    QueryControl cancelled(Deadline::Infinite(), &token);
+    out.assign(1, Neighbor{7, 7});
+    EXPECT_EQ(reader->KnnQuery(queries_[0], 10, &cancelled, &out).code(),
+              Status::Code::kAborted);
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
