@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/footrule.h"
-#include "core/kendall.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "invidx/visited_set.h"
@@ -58,19 +57,6 @@ void BM_FootruleNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FootruleNaive)->Arg(5)->Arg(10)->Arg(15)->Arg(20)->Arg(25);
-
-void BM_KendallTau(benchmark::State& state) {
-  const auto k = static_cast<uint32_t>(state.range(0));
-  const RankingStore store = MakeStore(k, 1024, 1);
-  Rng rng(2);
-  for (auto _ : state) {
-    const auto a = static_cast<RankingId>(rng.Below(store.size()));
-    const auto b = static_cast<RankingId>(rng.Below(store.size()));
-    benchmark::DoNotOptimize(
-        KendallTauTimesTwo(store.view(a), store.view(b), 1));
-  }
-}
-BENCHMARK(BM_KendallTau)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_VisitedSetMergeDedup(benchmark::State& state) {
   // The filter phase's inner loop: union k id-sorted lists with epoch

@@ -15,9 +15,8 @@
 //   query              mean query latency through the serving tiers —
 //                      RAM uncompressed, RAM compressed, mmap cold (page
 //                      cache evicted), mmap warm, plus the compressed
-//                      rank-augmented engine served from RAM and from
-//                      the snapshot's augmented arena — every tier
-//                      checked bit-exact against the RAM baseline.
+//                      rank-augmented engine served from RAM — every
+//                      tier checked bit-exact against the RAM baseline.
 //   block_skip         rank-window sweep evidence: blocks discarded on
 //                      metadata alone vs blocks decoded
 //                      (block_skip_ratio), results still exact.
@@ -300,8 +299,8 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
     }
 
     // The rank-augmented twin of the arena: the same store compressed
-    // with per-block rank ranges, shared by the snapshot writer, the
-    // augmented serving tiers, and the block-skip experiment below.
+    // with per-block rank ranges, shared by the augmented serving tier
+    // and the block-skip experiment below.
     const storage::CompressedAugmentedIndex augmented =
         storage::CompressedAugmentedIndex::Build(store);
 
@@ -309,7 +308,7 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
     const std::string path =
         std::string("BENCH_storage_snapshot_") + dataset.name + ".tmp";
     const Status written =
-        storage::WriteStoreSnapshot(store, arena, augmented.arena(), path);
+        storage::WriteStoreSnapshot(store, arena, path);
     if (!written.ok()) {
       std::cerr << "  storage snapshot write FAILED: " << written.ToString()
                 << "\n";
@@ -352,7 +351,7 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
               << resident_after_open << "/" << mapped << " bytes"
               << (evicted ? "" : " (eviction unavailable)") << "\n";
 
-    // --- query: the four serving tiers, bit-exact vs the RAM baseline. ---
+    // --- query: the serving tiers, bit-exact vs the RAM baseline. ---
     // Baseline pass doubles as the expected-results oracle.
     std::vector<std::vector<RankingId>> expected(queries.size());
     FilterValidateEngine ram_plain(&store, &plain);
@@ -390,19 +389,12 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
     wall_ms = storage_detail::TimedPass(&mmap_engine, queries, theta_raw,
                                         expected, &exact);
     tiers.push_back({"mmap_warm", wall_ms, exact});
-    // Augmented serving: the rank-interleaved codec end to end, from RAM
-    // and straight off the snapshot's frozen augmented arena.
+    // Augmented serving: the rank-interleaved codec end to end from RAM.
     storage::CompressedAugmentedEngine ram_augmented(&store, &augmented);
     exact = true;
     wall_ms = storage_detail::TimedPass(&ram_augmented, queries, theta_raw,
                                         expected, &exact);
     tiers.push_back({"ram_augmented", wall_ms, exact});
-    storage::CompressedAugmentedEngine mmap_augmented(
-        &snapshot.value().store(), &snapshot.value().augmented_index());
-    exact = true;
-    wall_ms = storage_detail::TimedPass(&mmap_augmented, queries, theta_raw,
-                                        expected, &exact);
-    tiers.push_back({"mmap_augmented", wall_ms, exact});
 
     for (const Tier& tier : tiers) {
       json->BeginObject();

@@ -1,21 +1,26 @@
-// Persistence workflow: generate a collection once, save the dataset and
-// its (expensive) partitioning to disk, then serve queries from a cold
-// start by loading both and rebuilding the cheap structures.
+// Persistence workflow: generate a collection once, save it with its
+// inverted index and its (expensive) coarse-index partitioning as one
+// snapshot, then serve queries from a cold start by mapping the snapshot
+// and rebuilding only the cheap structures.
 //
 //   build/examples/persistence [directory]
+//
+// Exits non-zero when any step fails or a cold-start answer differs from
+// a linear scan, so it doubles as an end-to-end check.
 
+#include <cstdio>
 #include <iostream>
 #include <string>
 
+#include "storage/snapshot.h"
 #include "topk.h"
 
 int main(int argc, char** argv) {
   using namespace topk;
   const std::string dir = argc > 1 ? argv[1] : "/tmp";
-  const std::string store_path = dir + "/example_rankings.topk";
-  const std::string parts_path = dir + "/example_partitioning.topk";
+  const std::string path = dir + "/example_collection.topksnp";
 
-  // --- First run: build everything and persist the expensive parts. ---
+  // --- First run: build everything and persist it in one file. ---
   {
     std::cout << "building collection + partitioning...\n";
     const RankingStore store = Generate(NytLikeOptions(15000, 10, 77));
@@ -26,52 +31,56 @@ int main(int argc, char** argv) {
               << partitioning.partitions.size() << " partitions in "
               << FormatDouble(partition_watch.ElapsedMillis(), 1) << " ms\n";
 
-    if (Status s = SaveRankingStore(store, store_path); !s.ok()) {
+    const auto arena = storage::CompressedPostingArena<RankingId>::FromArena(
+        PlainInvertedIndex::Build(store).arena());
+    if (Status s = storage::WriteStoreSnapshot(store, arena, path,
+                                               &partitioning);
+        !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }
-    if (Status s = SavePartitioning(partitioning, parts_path); !s.ok()) {
-      std::cerr << s.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "  saved dataset to " << store_path
-              << "\n  saved partitioning to " << parts_path << "\n\n";
+    std::cout << "  saved collection, index and partitioning to " << path
+              << "\n\n";
   }
 
-  // --- Cold start: load, rebuild the cheap structures, serve. ---
+  // --- Cold start: map, read the partitioning, rebuild, serve. ---
   std::cout << "cold start: loading...\n";
   Stopwatch load_watch;
-  auto store = LoadRankingStore(store_path);
-  if (!store.ok()) {
-    std::cerr << store.status().ToString() << "\n";
+  auto snapshot = storage::OpenStoreSnapshot(path);
+  if (!snapshot.ok()) {
+    std::cerr << snapshot.status().ToString() << "\n";
     return 1;
   }
-  auto partitioning = LoadPartitioning(parts_path);
+  auto partitioning = snapshot.value().ReadPartitioning();
   if (!partitioning.ok()) {
     std::cerr << partitioning.status().ToString() << "\n";
     return 1;
   }
+  const RankingStore& store = snapshot.value().store();
   CoarseOptions options;
   options.theta_c = 0.4;
   const CoarseIndex index = CoarseIndex::BuildFromPartitioning(
-      &store.value(), options, std::move(partitioning).ValueOrDie());
+      &store, options, std::move(partitioning).ValueOrDie());
   std::cout << "  ready in " << FormatDouble(load_watch.ElapsedMillis(), 1)
             << " ms (" << index.num_partitions() << " partitions)\n\n";
 
-  // Serve a few queries.
+  // Serve a few queries, each checked against a linear scan.
   WorkloadOptions wopts;
   wopts.num_queries = 3;
   wopts.seed = 3;
-  const auto queries = MakeWorkload(store.value(), wopts);
+  const auto queries = MakeWorkload(store, wopts);
+  const RawDistance theta = RawThreshold(0.2, store.k());
+  int exit_code = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     Statistics stats;
-    const auto results =
-        index.Query(queries[i], RawThreshold(0.2, 10), &stats);
+    const auto results = index.Query(queries[i], theta, &stats);
+    const bool exact = results == LinearScanQuery(store, queries[i], theta);
     std::cout << "query #" << i << ": " << results.size() << " results, "
-              << stats.Get(Ticker::kDistanceCalls) << " distance calls\n";
+              << stats.Get(Ticker::kDistanceCalls) << " distance calls"
+              << (exact ? "" : " — DIFFERS FROM LINEAR SCAN") << "\n";
+    if (!exact) exit_code = 1;
   }
 
-  std::remove(store_path.c_str());
-  std::remove(parts_path.c_str());
-  return 0;
+  std::remove(path.c_str());
+  return exit_code;
 }

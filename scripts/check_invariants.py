@@ -51,7 +51,7 @@ Checks (each is a named rule; any violation exits non-zero):
                   `generation: delegated` marker comment naming who bumps
                   instead. A mutation that skips the bump leaves serve-layer
                   caches answering from a world that no longer exists.
-  syscall-status  In src/storage/ and src/io/, a fallible syscall whose
+  syscall-status  In src/storage/, a fallible syscall whose
                   result is discarded (the call IS the statement: `fsync(fd);`
                   rather than `if (fsync(fd) != 0) ...`) silently converts an
                   I/O failure into corruption discovered much later — the
@@ -175,7 +175,7 @@ SKIP_CONTINUE_RE = re.compile(r"\bcontinue\s*;")
 
 # Directories where unchecked fallible syscalls are banned (persistence
 # code: a swallowed I/O error here IS data loss).
-SYSCALL_DIR_PREFIXES = ("src/storage/", "src/io/")
+SYSCALL_DIR_PREFIXES = ("src/storage/",)
 # The fallible calls the persistence layer actually uses. Infallible or
 # can't-meaningfully-fail calls (getpid, strerror) are deliberately absent.
 SYSCALL_NAMES = (
@@ -624,9 +624,6 @@ def self_test() -> int:
          lambda: check_syscall_status(fake_storage, ["  std::fclose(f);"])),
         ("syscall-status (void)-cast discard still flagged",
          lambda: check_syscall_status(fake_storage, ["  (void)unlink(tmp);"])),
-        ("syscall-status covers src/io too",
-         lambda: check_syscall_status(SRC / "io" / "fake.cc",
-                                      ["  rename(a, b);"])),
         ("drop-none-serving single-line call",
          lambda: check_drop_none_serving(fake_serve, [
              "  FilterPhase(index, q, theta, DropMode::kNone, n, &s);"])),

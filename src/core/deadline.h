@@ -21,6 +21,10 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
+
+#include "core/statistics.h"
+#include "core/status.h"
 
 namespace topk {
 
@@ -133,6 +137,19 @@ class QueryControl {
   bool stopped_ = false;
   bool cancelled_ = false;
 };
+
+/// Maps a stopped control to its caller-facing status — Aborted for a
+/// cancel, DeadlineExceeded for the clock — naming `what` stopped, and
+/// ticks kDeadlineExceeded (cancellations share the counter: both mean
+/// "stopped by request").
+inline Status StopStatus(const QueryControl& control, const char* what,
+                         Statistics* stats) {
+  AddTicker(stats, Ticker::kDeadlineExceeded);
+  if (control.cancelled()) {
+    return Status::Aborted(std::string(what) + " cancelled");
+  }
+  return Status::DeadlineExceeded(std::string(what) + " deadline exceeded");
+}
 
 }  // namespace topk
 

@@ -13,8 +13,6 @@
 
 #include "core/failpoint.h"
 #include "storage/compressed_arena.h"
-#include "storage/compressed_augmented.h"
-#include "storage/snapshot.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -178,21 +176,6 @@ void MutableStore::CollectRangeLocked(const RankingStore& seg_store,
     out->push_back(global_ids[local]);
   }
 }
-
-namespace {
-
-/// Maps an observed stop to its Status and ticks the deadline counter.
-Status StopStatus(const QueryControl& control, const char* what,
-                  Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted(std::string(what) + " cancelled");
-  }
-  return Status::DeadlineExceeded(std::string(what) +
-                                  " exceeded its deadline");
-}
-
-}  // namespace
 
 std::vector<RankingId> MutableStore::RangeQuery(const PreparedQuery& query,
                                                 RawDistance theta_raw,
@@ -403,14 +386,36 @@ MutableStore::BuildMergedSegmentWithRetries(
   }
 }
 
-bool MutableStore::FinishMergeCycle(
-    std::shared_ptr<const MainSegment> main_snapshot,
-    std::shared_ptr<const DeltaSegment> sealed_snapshot,
-    std::unordered_set<RankingId> consumed) {
+MutableStore::MergeInputs MutableStore::StartMergeCycleLocked() {
+  merge_in_flight_ = true;
+  MergeInputs inputs;
+  if (sealed_ == nullptr) {
+    SealLocked();
+    inputs.consumed = tombstones_;  // delta is now empty: all consumable
+  } else {
+    // A sealed segment left over from a failed cycle: the active delta
+    // has kept absorbing writes since, so only tombstones on rows this
+    // rebuild actually drops may be retired at the swap — erasing a
+    // delta-row tombstone here would resurrect the row.
+    for (const RankingId id : tombstones_) {
+      if (std::binary_search(main_->global_ids.begin(),
+                             main_->global_ids.end(), id) ||
+          std::binary_search(sealed_->global_ids.begin(),
+                             sealed_->global_ids.end(), id)) {
+        inputs.consumed.insert(id);
+      }
+    }
+  }
+  inputs.main = main_;
+  inputs.sealed = sealed_;
+  return inputs;
+}
+
+bool MutableStore::FinishMergeCycle(MergeInputs inputs) {
   // The rebuild runs with no lock held: writers land in the fresh
   // delta and readers query main + sealed + delta the whole time.
-  auto next = BuildMergedSegmentWithRetries(*main_snapshot, *sealed_snapshot,
-                                            consumed);
+  auto next = BuildMergedSegmentWithRetries(*inputs.main, *inputs.sealed,
+                                            inputs.consumed);
   {
     MutexLock lock(&mutex_);
     merge_in_flight_ = false;
@@ -428,14 +433,14 @@ bool MutableStore::FinishMergeCycle(
       return false;
     }
     last_merge_status_ = Status::OK();
-    InstallMergedLocked(next, consumed);
+    InstallMergedLocked(next, inputs.consumed);
   }
   // The merged inputs are unreachable once the swap is installed; drop
   // this cycle's references before the emission builds its compressed
-  // images, so the old segment, the new one and the emission buffers are
+  // image, so the old segment, the new one and the emission buffers are
   // never resident at once.
-  main_snapshot.reset();
-  sealed_snapshot.reset();
+  inputs.main.reset();
+  inputs.sealed.reset();
   MaybeEmitSnapshot(*next);
 #if defined(__GLIBC__)
   // Each cycle frees a whole segment and the emission buffers. glibc
@@ -447,9 +452,7 @@ bool MutableStore::FinishMergeCycle(
 }
 
 bool MutableStore::MergeNow() {
-  std::shared_ptr<const MainSegment> main_snapshot;
-  std::shared_ptr<const DeltaSegment> sealed_snapshot;
-  std::unordered_set<RankingId> consumed;
+  MergeInputs inputs;
   {
     MutexLock lock(&mutex_);
     while (merge_in_flight_) merge_cv_.Wait(mutex_);
@@ -459,36 +462,14 @@ bool MutableStore::MergeNow() {
     if (sealed_ == nullptr && delta_.store.empty() && tombstones_.empty()) {
       return false;
     }
-    merge_in_flight_ = true;
-    if (sealed_ == nullptr) {
-      SealLocked();
-      consumed = tombstones_;  // delta is now empty: all are consumable
-    } else {
-      // A sealed segment left over from a failed cycle: the active delta
-      // has kept absorbing writes since, so only tombstones on rows this
-      // rebuild actually drops may be retired at the swap — erasing a
-      // delta-row tombstone here would resurrect the row.
-      for (const RankingId id : tombstones_) {
-        if (std::binary_search(main_->global_ids.begin(),
-                               main_->global_ids.end(), id) ||
-            std::binary_search(sealed_->global_ids.begin(),
-                               sealed_->global_ids.end(), id)) {
-          consumed.insert(id);
-        }
-      }
-    }
-    main_snapshot = main_;
-    sealed_snapshot = sealed_;
+    inputs = StartMergeCycleLocked();
   }
-  return FinishMergeCycle(std::move(main_snapshot),
-                          std::move(sealed_snapshot), std::move(consumed));
+  return FinishMergeCycle(std::move(inputs));
 }
 
 void MutableStore::MergeWorkerLoop() {
   while (true) {
-    std::shared_ptr<const MainSegment> main_snapshot;
-    std::shared_ptr<const DeltaSegment> sealed_snapshot;
-    std::unordered_set<RankingId> consumed;
+    MergeInputs inputs;
     {
       MutexLock lock(&mutex_);
       while (!stop_worker_ &&
@@ -497,31 +478,14 @@ void MutableStore::MergeWorkerLoop() {
         merge_cv_.Wait(mutex_);
       }
       if (stop_worker_) return;
-      merge_in_flight_ = true;
-      if (sealed_ == nullptr) {
-        SealLocked();
-        consumed = tombstones_;
-      } else {
-        // Same leftover-sealed rule as MergeNow (see there).
-        for (const RankingId id : tombstones_) {
-          if (std::binary_search(main_->global_ids.begin(),
-                                 main_->global_ids.end(), id) ||
-              std::binary_search(sealed_->global_ids.begin(),
-                                 sealed_->global_ids.end(), id)) {
-            consumed.insert(id);
-          }
-        }
-      }
-      main_snapshot = main_;
-      sealed_snapshot = sealed_;
+      inputs = StartMergeCycleLocked();
     }
-    FinishMergeCycle(std::move(main_snapshot), std::move(sealed_snapshot),
-                     std::move(consumed));
+    FinishMergeCycle(std::move(inputs));
   }
 }
 
 void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
-  if (options_.snapshot_path.empty() && snapshot_manager_ == nullptr) return;
+  if (snapshot_manager_ == nullptr) return;
   Status status;
   if (segment.store.empty()) {
     // WriteStoreSnapshot rejects empty stores; a merge that compacted
@@ -531,26 +495,15 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
   } else {
     const auto arena = storage::CompressedPostingArena<RankingId>::FromArena(
         segment.index.arena());
-    // Freeze the augmented arena alongside the plain one so the snapshot
-    // serves the compressed augmented engine too (TOPKSNP2).
-    const auto augmented =
-        storage::CompressedAugmentedIndex::Build(segment.store);
     // Emission gets the same retry-with-backoff treatment as the
     // rebuild: a transient write failure must not cost the durability of
     // this merge's image. Exhausted attempts are recorded, not thrown —
     // the in-RAM store is unaffected either way.
     const int max_attempts = std::max(1, options_.merge_max_attempts);
     for (int attempt = 1;; ++attempt) {
-      if (TOPK_FAILPOINT("mutate.snapshot.emit")) {
-        status = Status::IOError("injected failure: mutate.snapshot.emit");
-      } else if (snapshot_manager_ != nullptr) {
-        status = snapshot_manager_->WriteSnapshot(segment.store, arena,
-                                                  augmented.arena());
-      } else {
-        status = storage::WriteStoreSnapshot(segment.store, arena,
-                                             augmented.arena(),
-                                             options_.snapshot_path);
-      }
+      status = TOPK_FAILPOINT("mutate.snapshot.emit")
+                   ? Status::IOError("injected failure: mutate.snapshot.emit")
+                   : snapshot_manager_->WriteSnapshot(segment.store, arena);
       if (status.ok() || attempt >= max_attempts) break;
       merge_retries_.fetch_add(1, std::memory_order_acq_rel);
       BackoffSleep(attempt);

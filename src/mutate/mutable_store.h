@@ -117,22 +117,17 @@ struct MutableStoreOptions {
 
   /// When non-empty, every successful merge also persists the freshly
   /// rebuilt main segment as a compressed storage snapshot
-  /// (storage/snapshot.h) at this path. The write runs OFF the store
+  /// (storage/snapshot.h) through a storage::SnapshotManager on this
+  /// directory: each emission is a new crash-safe generation, the newest
+  /// snapshot_keep_generations are retained, and recovery
+  /// (SnapshotManager::OpenNewestValid on the same directory) survives a
+  /// SIGKILL at any point of any write. The write runs OFF the store
   /// mutex, after the swap: writers and readers proceed against the
   /// installed segment while the file is emitted. The snapshot freezes
   /// the segment's rows in physical order (its dense local ids, not the
   /// sparse global ids) — it is a serving image for the frozen mmap
   /// tier, not a replayable WAL. Failures are recorded, not thrown:
-  /// poll last_snapshot_status(). Ignored when snapshot_dir is set.
-  std::string snapshot_path;
-
-  /// When non-empty, merge-emitted snapshots go through a
-  /// storage::SnapshotManager on this directory instead of a single
-  /// fixed path: each emission is a new crash-safe generation, the
-  /// newest snapshot_keep_generations are retained, and recovery
-  /// (SnapshotManager::OpenNewestValid on the same directory) survives
-  /// a SIGKILL at any point of any write. Takes precedence over
-  /// snapshot_path.
+  /// poll last_snapshot_status().
   std::string snapshot_dir;
   size_t snapshot_keep_generations = 3;
 
@@ -234,7 +229,7 @@ class MutableStore {
 
   /// Outcome of the most recent merge-emitted snapshot write (OK until
   /// the first one happens). Meaningful only with a non-empty
-  /// options.snapshot_path or snapshot_dir.
+  /// options.snapshot_dir.
   Status last_snapshot_status() const TOPK_EXCLUDES(mutex_);
 
   /// Registers `listener` to run (under the store mutex) after every
@@ -303,13 +298,23 @@ class MutableStore {
       const MainSegment& main, const DeltaSegment& sealed,
       const std::unordered_set<RankingId>& dead);
 
+  /// What one merge cycle folds: the main and sealed segments as of
+  /// the claim, and the tombstones the rebuild may retire.
+  struct MergeInputs {
+    std::shared_ptr<const MainSegment> main;
+    std::shared_ptr<const DeltaSegment> sealed;
+    std::unordered_set<RankingId> consumed;
+  };
+
+  /// The locked start of a merge cycle, shared by MergeNow and the
+  /// worker: claims merge_in_flight_, then seals the delta — or, when a
+  /// sealed segment is left over from a failed cycle, picks only the
+  /// tombstones on rows this rebuild drops — and snapshots main/sealed.
+  MergeInputs StartMergeCycleLocked() TOPK_REQUIRES(mutex_);
+
   /// Off-lock tail of a claimed merge cycle (rebuild with retries, then
-  /// install or open the circuit, then emit the snapshot). The caller
-  /// must have set merge_in_flight_ and sealed/snapshotted the inputs.
-  bool FinishMergeCycle(std::shared_ptr<const MainSegment> main_snapshot,
-                        std::shared_ptr<const DeltaSegment> sealed_snapshot,
-                        std::unordered_set<RankingId> consumed)
-      TOPK_EXCLUDES(mutex_);
+  /// install or open the circuit, then emit the snapshot).
+  bool FinishMergeCycle(MergeInputs inputs) TOPK_EXCLUDES(mutex_);
 
   /// Exponential backoff with deterministic jitter for attempt >= 1.
   void BackoffSleep(int attempt) const;
@@ -317,7 +322,7 @@ class MutableStore {
   void MergeWorkerLoop() TOPK_EXCLUDES(mutex_);
 
   /// Off-lock snapshot emission of a freshly installed main segment
-  /// (no-op when options_.snapshot_path is empty); records the outcome
+  /// (no-op when options_.snapshot_dir is empty); records the outcome
   /// in last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 

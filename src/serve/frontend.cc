@@ -12,18 +12,6 @@
 
 namespace topk {
 
-namespace {
-
-/// Stopped control -> caller-facing status + the deadline ticker (the
-/// counter covers cancellations too: both mean "stopped by request").
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("request cancelled");
-  return Status::DeadlineExceeded("request deadline exceeded");
-}
-
-}  // namespace
-
 bool CandidateCacheApplies(Algorithm algorithm) {
   return algorithm == Algorithm::kFV || algorithm == Algorithm::kLinearScan;
 }
@@ -203,7 +191,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   // lookup is cheaper than building the rejection.
   const bool cacheable = result_cache_.enabled();
   if (!cacheable && control.ShouldStop()) {
-    response->status = StopStatus(control, &executor->stats);
+    response->status = StopStatus(control, "request", &executor->stats);
     return;
   }
   if (cacheable) {
@@ -226,7 +214,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       return;
     }
     if (control.ShouldStop()) {
-      response->status = StopStatus(control, &executor->stats);
+      response->status = StopStatus(control, "request", &executor->stats);
       return;
     }
     if (request.kind == ServeKind::kRange) {
@@ -241,7 +229,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       response->ids.clear();
       response->neighbors.clear();
       response->candidate_cache_hit = false;
-      response->status = StopStatus(control, &executor->stats);
+      response->status = StopStatus(control, "request", &executor->stats);
       return;
     }
     if (request.kind == ServeKind::kRange) {
@@ -261,7 +249,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     response->ids.clear();
     response->neighbors.clear();
     response->candidate_cache_hit = false;
-    response->status = StopStatus(control, &executor->stats);
+    response->status = StopStatus(control, "request", &executor->stats);
   }
 }
 

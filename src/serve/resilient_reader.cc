@@ -10,16 +10,6 @@ namespace topk {
 
 namespace {
 
-Status StopStatus(const QueryControl& control, const char* what,
-                  Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted(std::string(what) + " cancelled");
-  }
-  return Status::DeadlineExceeded(std::string(what) +
-                                  " deadline exceeded");
-}
-
 /// The snapshot and RAM tiers hold no tombstones: a row's id is global.
 struct IdentityId {
   RankingId operator()(RankingId local) const { return local; }

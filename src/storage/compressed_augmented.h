@@ -74,15 +74,6 @@ class CompressedAugmentedIndex {
     return FromAugmented(AugmentedInvertedIndex::Build(store));
   }
 
-  /// Wraps adopted (mmap'd) sections; see CompressedPostingArena::Adopt.
-  static CompressedAugmentedIndex FromParts(
-      CompressedPostingArena<AugmentedEntry> arena, size_t num_indexed) {
-    CompressedAugmentedIndex index;
-    index.arena_ = std::move(arena);
-    index.num_indexed_ = num_indexed;
-    return index;
-  }
-
   /// Posting list for `item`, decoded into `scratch` when compressed,
   /// served directly from the inline tier otherwise.
   std::span<const AugmentedEntry> DecodeList(

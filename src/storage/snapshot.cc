@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -64,19 +65,106 @@ bool WritePadded(std::FILE* file, const void* data, size_t size,
   return true;
 }
 
+/// The structural rules of a flattened partitioning, shared by the
+/// writer (before it touches the file) and ReadPartitioning (after it
+/// copies the sections out). The count rule between the header and the
+/// table section is ReadPartitioning's own.
+Status ValidatePartitionSections(std::span<const SnapshotPartition> table,
+                                 std::span<const RankingId> members,
+                                 uint64_t num_rankings) {
+  for (const RankingId id : members) {
+    if (id >= num_rankings) {
+      return Status::InvalidArgument("snapshot partition member id " +
+                                     std::to_string(id) + " >= n");
+    }
+  }
+  uint64_t begin = 0;
+  for (const SnapshotPartition& partition : table) {
+    if (partition.members_end < begin) {
+      return Status::InvalidArgument(
+          "snapshot partition end offsets are not monotone");
+    }
+    if (partition.members_end > members.size()) {
+      return Status::InvalidArgument(
+          "snapshot partition ends past the member array");
+    }
+    if (partition.members_end == begin ||
+        members[static_cast<size_t>(begin)] != partition.medoid) {
+      return Status::InvalidArgument(
+          "snapshot partition medoid does not lead its members");
+    }
+    begin = partition.members_end;
+  }
+  if (begin != members.size()) {
+    return Status::InvalidArgument(
+        "snapshot partition member count exceeds what the partition "
+        "table covers");
+  }
+  return Status::OK();
+}
+
+/// Header checks shared by OpenStoreSnapshot and VerifySnapshotChecksums.
+Status ValidateHeader(const SnapshotHeader& header) {
+  if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0) {
+    if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic) - 1) ==
+        0) {
+      return Status::InvalidArgument(
+          "unsupported snapshot format " +
+          std::string(header.magic, sizeof(header.magic)) +
+          " (this build reads TOPKSNP3 only)");
+    }
+    return Status::InvalidArgument("not a snapshot file (bad magic)");
+  }
+  if (header.version != kSnapshotVersion) {
+    return Status::InvalidArgument("unsupported snapshot version");
+  }
+  if (header.section_count != kSnapshotSectionCount) {
+    return Status::InvalidArgument("unexpected snapshot section count");
+  }
+  if (header.byte_order != kSnapshotByteOrder) {
+    return Status::InvalidArgument(
+        "snapshot byte order differs from this machine's (snapshots are "
+        "host-endian cache files, not an interchange format)");
+  }
+  if (header.layout != kSnapshotLayout) {
+    return Status::InvalidArgument(
+        "snapshot element layout differs from this build's (word size or "
+        "struct layout mismatch)");
+  }
+  if (header.k == 0 || header.num_rankings == 0) {
+    return Status::InvalidArgument("snapshot declares an empty store");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 uint64_t SnapshotChecksum(const void* data, size_t size) {
   return FnvUpdate(kFnvOffset, data, size);
 }
 
-Status WriteStoreSnapshot(
-    const RankingStore& store,
-    const CompressedPostingArena<RankingId>& arena,
-    const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-    const std::string& path) {
+Status WriteStoreSnapshot(const RankingStore& store,
+                          const CompressedPostingArena<RankingId>& arena,
+                          const std::string& path,
+                          const Partitioning* partitioning) {
   if (store.empty()) {
     return Status::InvalidArgument("cannot snapshot an empty store");
+  }
+  std::vector<SnapshotPartition> partition_table;
+  std::vector<RankingId> partition_members;
+  if (partitioning != nullptr) {
+    partition_table.reserve(partitioning->partitions.size());
+    partition_members.reserve(partitioning->total_members());
+    for (const Partition& partition : partitioning->partitions) {
+      partition_members.insert(partition_members.end(),
+                               partition.members.begin(),
+                               partition.members.end());
+      partition_table.push_back({partition.medoid, 0, partition.radius,
+                                 partition_members.size()});
+    }
+    Status valid = ValidatePartitionSections(partition_table,
+                                             partition_members, store.size());
+    if (!valid.ok()) return valid;
   }
   const std::span<const ItemId> items = store.flat_items();
   const std::span<const ItemId> sorted_items = store.flat_sorted_items();
@@ -86,16 +174,6 @@ Status WriteStoreSnapshot(
       arena.block_metas();
   const std::span<const RankingId> inline_entries = arena.inline_entries();
   const std::span<const uint8_t> byte_stream = arena.byte_stream();
-  const std::span<const CompressedListMeta> aug_list_metas =
-      augmented_arena.list_metas();
-  const std::span<const CompressedBlockMeta> aug_block_metas =
-      augmented_arena.block_metas();
-  const std::span<const BlockRankRange> aug_rank_ranges =
-      augmented_arena.rank_ranges();
-  const std::span<const AugmentedEntry> aug_inline_entries =
-      augmented_arena.inline_entries();
-  const std::span<const uint8_t> aug_byte_stream =
-      augmented_arena.byte_stream();
 
   const SectionPayload payloads[kSnapshotSectionCount] = {
       {SnapshotSection::kItems, items.data(), items.size_bytes()},
@@ -111,16 +189,10 @@ Status WriteStoreSnapshot(
        inline_entries.size_bytes()},
       {SnapshotSection::kByteStream, byte_stream.data(),
        byte_stream.size_bytes()},
-      {SnapshotSection::kAugListMetas, aug_list_metas.data(),
-       aug_list_metas.size_bytes()},
-      {SnapshotSection::kAugBlockMetas, aug_block_metas.data(),
-       aug_block_metas.size_bytes()},
-      {SnapshotSection::kAugRankRanges, aug_rank_ranges.data(),
-       aug_rank_ranges.size_bytes()},
-      {SnapshotSection::kAugInlineEntries, aug_inline_entries.data(),
-       aug_inline_entries.size_bytes()},
-      {SnapshotSection::kAugByteStream, aug_byte_stream.data(),
-       aug_byte_stream.size_bytes()},
+      {SnapshotSection::kPartitions, partition_table.data(),
+       partition_table.size() * sizeof(SnapshotPartition)},
+      {SnapshotSection::kPartitionMembers, partition_members.data(),
+       partition_members.size() * sizeof(RankingId)},
   };
 
   SnapshotSection table[kSnapshotSectionCount] = {};
@@ -144,7 +216,7 @@ Status WriteStoreSnapshot(
   header.max_item = store.max_item();
   header.num_rankings = store.size();
   header.num_arena_entries = arena.num_entries();
-  header.num_augmented_entries = augmented_arena.num_entries();
+  header.num_partitions = partition_table.size();
   header.directory_checksum = SnapshotChecksum(table, sizeof(table));
 
   // Crash-safe protocol: write everything to `path`.tmp, fsync the file,
@@ -228,14 +300,6 @@ Status WriteStoreSnapshot(
     return Status::IOErrorFromErrno("fsync directory " + dir, dirsync_errno);
   }
   return Status::OK();
-}
-
-Status WriteStoreSnapshot(const RankingStore& store,
-                          const CompressedPostingArena<RankingId>& arena,
-                          const std::string& path) {
-  const CompressedAugmentedIndex augmented =
-      CompressedAugmentedIndex::Build(store);
-  return WriteStoreSnapshot(store, arena, augmented.arena(), path);
 }
 
 /// RAII mmap of a whole file, read-only.
@@ -367,28 +431,8 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   }
   SnapshotHeader header;
   std::memcpy(&header, base, sizeof(header));
-  if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0) {
-    return Status::InvalidArgument("not a snapshot file (bad magic)");
-  }
-  if (header.version != kSnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  if (header.section_count != kSnapshotSectionCount) {
-    return Status::InvalidArgument("unexpected snapshot section count");
-  }
-  if (header.byte_order != kSnapshotByteOrder) {
-    return Status::InvalidArgument(
-        "snapshot byte order differs from this machine's (snapshots are "
-        "host-endian cache files, not an interchange format)");
-  }
-  if (header.layout != kSnapshotLayout) {
-    return Status::InvalidArgument(
-        "snapshot element layout differs from this build's (word size or "
-        "struct layout mismatch)");
-  }
-  if (header.k == 0 || header.num_rankings == 0) {
-    return Status::InvalidArgument("snapshot declares an empty store");
-  }
+  Status header_status = ValidateHeader(header);
+  if (!header_status.ok()) return header_status;
   SnapshotSection table[kSnapshotSectionCount];
   std::memcpy(table, base + sizeof(header), sizeof(table));
   if (SnapshotChecksum(table, sizeof(table)) != header.directory_checksum) {
@@ -417,21 +461,12 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   auto byte_stream = SectionSpan<uint8_t>(base, file_size, table[6],
                                           SnapshotSection::kByteStream);
   if (!byte_stream.ok()) return byte_stream.status();
-  auto aug_list_metas = SectionSpan<CompressedListMeta>(
-      base, file_size, table[7], SnapshotSection::kAugListMetas);
-  if (!aug_list_metas.ok()) return aug_list_metas.status();
-  auto aug_block_metas = SectionSpan<CompressedBlockMeta>(
-      base, file_size, table[8], SnapshotSection::kAugBlockMetas);
-  if (!aug_block_metas.ok()) return aug_block_metas.status();
-  auto aug_rank_ranges = SectionSpan<BlockRankRange>(
-      base, file_size, table[9], SnapshotSection::kAugRankRanges);
-  if (!aug_rank_ranges.ok()) return aug_rank_ranges.status();
-  auto aug_inline_entries = SectionSpan<AugmentedEntry>(
-      base, file_size, table[10], SnapshotSection::kAugInlineEntries);
-  if (!aug_inline_entries.ok()) return aug_inline_entries.status();
-  auto aug_byte_stream = SectionSpan<uint8_t>(
-      base, file_size, table[11], SnapshotSection::kAugByteStream);
-  if (!aug_byte_stream.ok()) return aug_byte_stream.status();
+  auto partitions = SectionSpan<SnapshotPartition>(
+      base, file_size, table[7], SnapshotSection::kPartitions);
+  if (!partitions.ok()) return partitions.status();
+  auto partition_members = SectionSpan<RankingId>(
+      base, file_size, table[8], SnapshotSection::kPartitionMembers);
+  if (!partition_members.ok()) return partition_members.status();
 
   // Overflow-safe n * k: a hostile header cannot wrap the cell count
   // into coincidental agreement with the section sizes.
@@ -452,12 +487,6 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
                                    "max_item");
   }
 
-  if (aug_list_metas.value().size() !=
-      static_cast<size_t>(header.max_item) + 1) {
-    return Status::InvalidArgument("snapshot augmented list directory does "
-                                   "not cover max_item");
-  }
-
   auto arena = CompressedPostingArena<RankingId>::Adopt(
       list_metas.value(), block_metas.value(), inline_entries.value(),
       byte_stream.value());
@@ -465,16 +494,6 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   if (arena.value().num_entries() != header.num_arena_entries) {
     return Status::InvalidArgument("snapshot arena entry count mismatch");
   }
-  auto aug_arena = CompressedPostingArena<AugmentedEntry>::Adopt(
-      aug_list_metas.value(), aug_block_metas.value(),
-      aug_inline_entries.value(), aug_byte_stream.value(),
-      aug_rank_ranges.value());
-  if (!aug_arena.ok()) return aug_arena.status();
-  if (aug_arena.value().num_entries() != header.num_augmented_entries) {
-    return Status::InvalidArgument("snapshot augmented arena entry count "
-                                   "mismatch");
-  }
-
   RankingStore store = RankingStore::AdoptExternal(
       header.k, static_cast<size_t>(header.num_rankings), header.max_item,
       items.value().data(), sorted_items.value().data(),
@@ -482,11 +501,51 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   CompressedInvertedIndex index = CompressedInvertedIndex::FromParts(
       std::move(arena).ValueOrDie(),
       static_cast<size_t>(header.num_rankings));
-  CompressedAugmentedIndex augmented = CompressedAugmentedIndex::FromParts(
-      std::move(aug_arena).ValueOrDie(),
-      static_cast<size_t>(header.num_rankings));
+  const StoreSnapshot::PartitionSections partition_sections{
+      header.num_partitions, partitions.value(), partition_members.value(),
+      table[7].checksum, table[8].checksum};
   return StoreSnapshot(std::move(mapping), std::move(store),
-                       std::move(index), std::move(augmented));
+                       std::move(index), partition_sections);
+}
+
+Result<Partitioning> StoreSnapshot::ReadPartitioning() const {
+  const PartitionSections& sections = partitions_;
+  if (sections.declared_count == 0 && sections.table.empty() &&
+      sections.members.empty()) {
+    return Status::NotFound("snapshot holds no partitioning");
+  }
+  if (sections.declared_count != sections.table.size()) {
+    return Status::InvalidArgument(
+        "snapshot partition count disagrees with its table section");
+  }
+  // Copy first, then check the copy: the rules must hold for the bytes
+  // the partitioning is built from, not for a page read earlier.
+  const std::vector<SnapshotPartition> table(sections.table.begin(),
+                                             sections.table.end());
+  const std::vector<RankingId> members(sections.members.begin(),
+                                       sections.members.end());
+  if (SnapshotChecksum(table.data(), table.size() * sizeof(table[0])) !=
+          sections.table_checksum ||
+      SnapshotChecksum(members.data(), members.size() * sizeof(members[0])) !=
+          sections.members_checksum) {
+    return Status::InvalidArgument("snapshot partitioning checksum mismatch");
+  }
+  Status valid = ValidatePartitionSections(table, members, store_.size());
+  if (!valid.ok()) return valid;
+  Partitioning partitioning;
+  partitioning.partitions.reserve(table.size());
+  size_t begin = 0;
+  for (const SnapshotPartition& record : table) {
+    const auto end = static_cast<size_t>(record.members_end);
+    Partition partition;
+    partition.medoid = record.medoid;
+    partition.radius = record.radius;
+    partition.members.assign(members.begin() + static_cast<ptrdiff_t>(begin),
+                             members.begin() + static_cast<ptrdiff_t>(end));
+    partitioning.partitions.push_back(std::move(partition));
+    begin = end;
+  }
+  return partitioning;
 }
 
 Status VerifySnapshotChecksums(const std::string& path) {
@@ -501,14 +560,11 @@ Status VerifySnapshotChecksums(const std::string& path) {
   SnapshotHeader header;
   SnapshotSection table[kSnapshotSectionCount];
   if (std::fread(&header, 1, sizeof(header), in.file) != sizeof(header) ||
-      std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0 ||
-      header.version != kSnapshotVersion ||
-      header.section_count != kSnapshotSectionCount ||
-      header.byte_order != kSnapshotByteOrder ||
-      header.layout != kSnapshotLayout ||
       std::fread(table, 1, sizeof(table), in.file) != sizeof(table)) {
     return Status::InvalidArgument("snapshot header unreadable: " + path);
   }
+  Status header_status = ValidateHeader(header);
+  if (!header_status.ok()) return header_status;
   if (SnapshotChecksum(table, sizeof(table)) != header.directory_checksum) {
     return Status::InvalidArgument("snapshot section table checksum "
                                    "mismatch");

@@ -12,7 +12,9 @@
 // the writer never publishes a file until it is fully fsynced, a clean
 // run quarantines nothing — storage_crash_test asserts both directions
 // (recovery after SIGKILL at every write failpoint, zero quarantine
-// false positives without faults).
+// false positives without faults). A generation written in an older
+// format (TOPKSNP2) fails the header check and is quarantined as
+// invalid like any corrupt file; the next emission writes TOPKSNP3.
 //
 // Synchronization: externally synchronized like the rest of the storage
 // layer — MutableStore serializes emissions through its single
@@ -56,11 +58,6 @@ class SnapshotManager {
   /// Emits the next generation (max existing + 1) and prunes old ones.
   /// Creates the directory on first use. Failures leave prior
   /// generations untouched.
-  Status WriteSnapshot(
-      const RankingStore& store,
-      const CompressedPostingArena<RankingId>& arena,
-      const CompressedPostingArena<AugmentedEntry>& augmented_arena);
-  /// Convenience overload building the augmented arena at write time.
   Status WriteSnapshot(const RankingStore& store,
                        const CompressedPostingArena<RankingId>& arena);
 

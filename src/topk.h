@@ -17,7 +17,6 @@
 #include "coarse/coarse_index.h"
 #include "core/bounds.h"
 #include "core/footrule.h"
-#include "core/kendall.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/statistics.h"
@@ -44,9 +43,7 @@
 #include "invidx/list_merge.h"
 #include "invidx/oracle_index.h"
 #include "invidx/plain_inverted_index.h"
-#include "io/serialization.h"
 #include "metric/bk_tree.h"
-#include "metric/generic_bk_tree.h"
 #include "metric/knn.h"
 #include "metric/linear_scan.h"
 #include "metric/m_tree.h"

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/kendall.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/types.h"
@@ -144,31 +143,6 @@ TEST_P(FootruleMetricPropertyTest, SymmetryIdentityTriangle) {
 
 INSTANTIATE_TEST_SUITE_P(AllK, FootruleMetricPropertyTest,
                          ::testing::Values(2u, 3u, 5u, 10u, 15u, 20u, 25u));
-
-TEST(FootruleTest, DiaconisGrahamInequalityOnPermutations) {
-  // For permutations over the same domain the classical inequality
-  // K <= F <= 2K holds; the top-k adaptation reduces to the classical
-  // measures when the domains coincide.
-  Rng rng(9);
-  const uint32_t k = 8;
-  std::vector<ItemId> base(k);
-  for (uint32_t i = 0; i < k; ++i) base[i] = i + 100;
-  RankingStore store(k);
-  for (int i = 0; i < 40; ++i) {
-    std::vector<ItemId> perm = base;
-    rng.Shuffle(&perm);
-    store.AddUnchecked(perm);
-  }
-  for (RankingId a = 0; a < store.size(); ++a) {
-    for (RankingId b = a + 1; b < store.size(); ++b) {
-      const RawDistance f =
-          FootruleDistance(store.sorted(a), store.sorted(b));
-      const uint64_t kd = KendallTauOptimistic(store.view(a), store.view(b));
-      EXPECT_LE(kd, f);
-      EXPECT_LE(f, 2 * kd);
-    }
-  }
-}
 
 TEST(ThresholdConversionTest, RawThresholdBoundaries) {
   // k = 10 => dmax = 110.
